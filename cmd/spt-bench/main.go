@@ -9,23 +9,21 @@
 //	spt-bench -what stats     # Fig. 10-style "where did the slowdown go" breakdown
 //	spt-bench -what pentest   # §9.1 penetration testing
 //	spt-bench -what perf      # simulator-throughput suite (host-side)
-//	spt-bench -what samplebench  # BENCH_sample.json (fast-forward + window-pool timings)
-//	spt-bench -what all       # everything (except samplebench)
+//	spt-bench -what all       # everything
 //
 // -budget scales the per-run retired-instruction count (the SimPoint
 // stand-in); -workloads restricts the suite; -jobs sets how many
 // simulations run concurrently (0 = one per core, 1 = sequential — the
 // figures are bit-identical either way); -window-jobs additionally overlaps
 // each sampled run's measured windows (also bit-identical); -progress
-// reports grid completion on stderr. -json switches the perf report to JSON
-// (the format of BENCH_core.json); -bench-out names the samplebench output
-// file. -cpuprofile/-memprofile write pprof profiles of the whole
-// invocation.
+// reports grid completion on stderr. -json switches the perf report to
+// JSON. -cpuprofile/-memprofile write pprof profiles of the whole
+// invocation. The repository's benchmark is bench/run.sh (bench/README.md),
+// not this command.
 //
 // -skip fast-forwards every run past a functional prefix (executed once per
-// workload and shared across the grid; -checkpoint-dir persists the
-// architectural checkpoints between invocations), and -sample replaces each
-// detailed run with a SMARTS-style sampled estimate. With either flag,
+// workload and shared across the grid), and -sample replaces each detailed
+// run with a SMARTS-style sampled estimate. With either flag,
 // `-what perf` reports effective sim-KIPS including fast-forwarded
 // instructions.
 package main
@@ -56,11 +54,9 @@ func main() {
 		jobs       = flag.Int("jobs", 0, "concurrent simulations (0 = one per core, 1 = sequential)")
 		windowJobs = flag.Int("window-jobs", 0, "concurrent measured windows per sampled run (0/1 = serial)")
 		skip       = flag.Uint64("skip", 0, "fast-forward this many instructions functionally before each detailed run")
-		ckptDir    = flag.String("checkpoint-dir", "", "persist architectural checkpoints here (reused across runs)")
 		sample     = flag.String("sample", "", "SMARTS sampling spec: \"intervals\" or \"intervals:warmup:detail\"")
 		progress   = flag.Bool("progress", false, "report per-simulation grid progress on stderr")
 		jsonOut    = flag.Bool("json", false, "emit the perf report as JSON")
-		benchOut   = flag.String("bench-out", "", "samplebench output file (default stdout)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -106,9 +102,6 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	opt := spt.EvalOptions{Budget: *budget, Jobs: *jobs, WindowJobs: *windowJobs, Skip: *skip, Sample: sampleSpec, Context: ctx}
-	if *ckptDir != "" {
-		opt.Checkpoints = spt.NewCheckpointStore(*ckptDir)
-	}
 	if *workloads != "" {
 		opt.Workloads = strings.Split(*workloads, ",")
 	}
@@ -133,13 +126,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "spt-bench: %s: %v\n", name, err)
 			os.Exit(1)
 		}
-	}
-
-	// samplebench is opt-in only: it regenerates a benchmark artifact with
-	// repeated timed runs, so "all" does not include it.
-	if *what == "samplebench" {
-		run("samplebench", func() error { return runSampleBench(ctx, *benchOut) })
-		return
 	}
 
 	run("machine", func() error {

@@ -6,7 +6,7 @@
 //	spt-sim -workload mcf -scheme spt -stats                # full counter dump
 //	spt-sim -workload mcf -scheme spt -stats-json           # ... as JSON
 //	spt-sim -workload mcf,gcc,xz -jobs 0 -output-dir out   # parallel batch
-//	spt-sim -workload mcf -skip 1000000 -checkpoint-dir ckpt  # fast-forward, cached
+//	spt-sim -workload mcf -skip 1000000                    # fast-forward past a prefix
 //	spt-sim -workload mcf -sample 10:500:1000               # SMARTS sampled estimate
 //	spt-sim -asm prog.s -scheme secure -max-insts 500000
 //	spt-sim -random 80 -seed 42                            # reproducible random program
@@ -47,7 +47,6 @@ func main() {
 		width     = flag.Int("untaint-width", 3, "untaint broadcast width (SPT only; <0 = unbounded)")
 		maxInsts  = flag.Uint64("max-insts", 200_000, "retired-instruction budget")
 		skip      = flag.Uint64("skip", 0, "fast-forward this many instructions functionally before detailed simulation")
-		ckptDir   = flag.String("checkpoint-dir", "", "persist architectural checkpoints here (reused across runs)")
 		sample    = flag.String("sample", "", "SMARTS sampling spec: \"intervals\" or \"intervals:warmup:detail\"")
 		randSize  = flag.Int("random", 0, "generate and run a random program of this many grammar steps")
 		seed      = flag.Int64("seed", 1, "RNG seed for -random (printed, so runs are reproducible)")
@@ -79,9 +78,6 @@ func main() {
 		MaxInstructions:       *maxInsts,
 		SkipInstructions:      *skip,
 		Sample:                sampleSpec,
-	}
-	if *ckptDir != "" {
-		opt.Checkpoints = spt.NewCheckpointStore(*ckptDir)
 	}
 
 	var res *spt.Result

@@ -113,7 +113,7 @@ func NewWalker(p *isa.Program, hcfg mem.HierarchyConfig, warm bool) *Walker {
 // retired instruction and replay streams each batch into the hierarchy
 // and predictor. The event stream is byte-identical — same events, same
 // order, same operand values — to what AdvanceHooked's per-instruction
-// pass produces, so checkpoints (and their hashes) do not depend on
+// Step pass produces, so checkpoints (and their hashes) do not depend on
 // which path built them; TestWalkerReplayMatchesHooked and the walker
 // determinism goldens are the contract. Reaching HALT before the target
 // is an error: a checkpoint past the end of the program is meaningless.
@@ -138,25 +138,25 @@ func (w *Walker) Advance(target uint64) error {
 }
 
 // AdvanceHooked is the per-instruction reference warming path: identical
-// semantics to Advance, but warming runs as a pre-execution hook on every
-// instruction instead of through batched event replay. It exists so tests
-// can pin the fast path's warm state to the reference, and as a fallback
-// observation point for tooling that needs a live per-instruction view.
+// semantics to Advance, but it never touches the block engine. Each
+// instruction is warmed by warmOne against the pre-execution state and
+// then executed by Step, the emulator's golden interpreter, so a dispatch
+// bug in the block engine cannot hide in both paths at once. It exists so
+// tests can pin the fast path's warm state to an independent reference.
 func (w *Walker) AdvanceHooked(target uint64) error {
-	st := &w.Em.State
+	e := w.Em
+	st := &e.State
+	code := e.Prog.Code
 	for st.Retired < target {
 		if st.Halted {
 			return fmt.Errorf("checkpoint: %s halted after %d instructions (fast-forward target %d)",
-				w.Em.Prog.Name, st.Retired, target)
+				e.Prog.Name, st.Retired, target)
 		}
-		var err error
-		if w.Hier != nil {
-			_, err = w.Em.RunHooked(target-st.Retired, w.warmOne)
-		} else {
-			_, err = w.Em.Run(target - st.Retired)
+		if w.Hier != nil && st.PC < uint64(len(code)) {
+			w.warmOne(st.PC, &code[st.PC])
 		}
-		if err != nil {
-			return fmt.Errorf("checkpoint: %s: %w", w.Em.Prog.Name, err)
+		if err := e.Step(); err != nil {
+			return fmt.Errorf("checkpoint: %s: %w", e.Prog.Name, err)
 		}
 	}
 	return nil
@@ -166,8 +166,8 @@ func (w *Walker) AdvanceHooked(target uint64) error {
 // block-granular counterpart of warmOne. Every arm mirrors warmOne
 // exactly: one pseudo-clock tick and an instruction fetch per event, then
 // the class-specific access or predictor round trip. The emulator
-// captured each event's operands at the same pre-execution point the hook
-// would have observed, so the two paths train identical state.
+// captured each event's operands at the same pre-execution point warmOne
+// reads them, so the two paths train identical state.
 func (w *Walker) replay(evs []emu.WarmEvent) {
 	h, p := w.Hier, w.Pred
 	now := w.now
@@ -220,9 +220,9 @@ func (w *Walker) replay(evs []emu.WarmEvent) {
 }
 
 // warmOne streams the next instruction's microarchitectural events into
-// the warm structures before the emulator executes it (it runs as the
-// block engine's pre-execution hook, so the registers it reads are still
-// the pre-execution values). Branch training mirrors the detailed
+// the warm structures before the emulator executes it (AdvanceHooked calls
+// it ahead of each Step, so the registers it reads are still the
+// pre-execution values). Branch training mirrors the detailed
 // pipeline's resolution path (predict, resolve, recover on mispredict) so
 // the predictor reaches the same trained state it would after in-order
 // execution of the prefix.

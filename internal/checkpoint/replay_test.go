@@ -9,12 +9,12 @@ import (
 
 // TestWalkerReplayMatchesHooked pins the block-granular warming fast path
 // (Advance → RunWarm → replay) to the per-instruction reference
-// (AdvanceHooked → RunHooked → warmOne): after advancing the same program
-// to the same points through both paths, the pseudo-clock, the entire
-// warm hierarchy and predictor state, and the architectural snapshot must
-// all match exactly. The uneven targets land advances inside superblocks
-// (Step-tail path), on fused-pair boundaries, and across event-buffer
-// flushes.
+// (AdvanceHooked → warmOne + Step, no block engine): after advancing the
+// same program to the same points through both paths, the pseudo-clock,
+// the entire warm hierarchy and predictor state, and the architectural
+// snapshot must all match exactly. The uneven targets land advances
+// inside superblocks (Step-tail path), on fused-pair boundaries, and
+// across event-buffer flushes.
 func TestWalkerReplayMatchesHooked(t *testing.T) {
 	hcfg := mem.DefaultHierarchyConfig()
 	for _, name := range []string{"gcc", "mcf", "xz", "aes-bitslice"} {

@@ -13,13 +13,13 @@ import (
 // once, warm, before any detailed window can run. Per workload it reports
 //
 //	warm-MIPS:   block-granular warming (Advance: RunWarm + batch replay)
-//	hooked-MIPS: per-instruction reference warming (AdvanceHooked)
+//	hooked-MIPS: per-instruction reference warming (AdvanceHooked: warmOne + Step)
 //	cold-MIPS:   no warming at all (plain Run), the engine's upper bound
 //	speedup-x:   warm-MIPS / hooked-MIPS
 //
-// The CI perf smoke parses warm-MIPS and speedup-x; both paths produce
-// byte-identical warm state (TestWalkerReplayMatchesHooked), so the ratio
-// is pure dispatch-and-batching overhead.
+// Both paths produce byte-identical warm state
+// (TestWalkerReplayMatchesHooked), so the ratio is what block dispatch
+// and batched replay buy over the Step interpreter.
 func BenchmarkWarmingWalker(b *testing.B) {
 	const insts = 1_000_000
 	hcfg := mem.DefaultHierarchyConfig()

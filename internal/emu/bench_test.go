@@ -2,8 +2,8 @@
 // number the threaded-code work is judged by: emulated millions of
 // instructions per host second for the predecoded basic-block engine
 // (Run), against the single-instruction reference interpreter (Step)
-// executing the identical region. CI runs the aes-bitslice case with
-// -benchtime=1x and floors the speedup-x metric.
+// executing the identical region. The benchmark's end-to-end numbers live
+// in bench/README.md; this is the per-engine microbenchmark.
 package emu
 
 import (

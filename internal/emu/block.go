@@ -36,11 +36,15 @@ import (
 //     so the three-array kernels (lbm) whose bases alias in the global
 //     direct-mapped page cache each keep their own hot page.
 //
+// There is one dispatch loop (runBlocks) and one mode: every instruction
+// records its WarmEvent. RunWarm hands the events to the checkpoint
+// walker; Run discards them.
+//
 // Correctness contract: the block engine and Step implement identical
-// architectural semantics (block_test.go cross-checks them instruction
-// for instruction on random programs). Step remains the golden reference;
-// the block engine is the throughput path behind Run, RunHooked, and
-// RunWarm.
+// architectural semantics and warming events (block_test.go cross-checks
+// them instruction for instruction on suite kernels and random programs).
+// Step remains the golden reference; the block engine is the throughput
+// path behind Run and RunWarm.
 //
 // The cache holds no architectural state — only a decoded view of
 // Prog.Code — so snapshots and copy-on-write restores (snapshot.go) never
@@ -445,7 +449,7 @@ func (e *Emulator) InvalidateCode(from, to uint64) {
 	}
 }
 
-// runFast is the plain (unobserved) engine behind Run. Control chains
+// runBlocks is the dispatch loop behind Run and RunWarm. Control chains
 // superblock to superblock through cached successor pointers (taken exits
 // through the exiting op's succ, fall-through through the block's next);
 // only dynamic jumps fall back to a cache lookup. A block executes on the
@@ -453,651 +457,11 @@ func (e *Emulator) InvalidateCode(from, to uint64) {
 // partial block runs through the per-instruction Step reference, which
 // also splits fused pairs at budget boundaries.
 //
-// runObserved is the same loop with per-instruction observation (hook
-// calls and warming events) woven in; the two must stay in lockstep.
-// They are separate functions on purpose: keeping the observation state
-// out of this loop entirely is worth ~25% dispatch throughput (the
-// compiler keeps every hot variable in registers), and the lockstep tests
-// (compareEngines, the RunHooked trace test, and the walker replay
-// cross-check) pin all paths to Step's semantics.
-func (e *Emulator) runFast(maxInstructions uint64) (uint64, error) {
-	s := &e.State
-	regs := &s.Regs
-	m := s.Mem
-	codeLen := uint64(len(e.Prog.Code))
-	// pc and done shadow s.PC and the retired count so block exits touch
-	// only registers; they are flushed back to State at the halt, error,
-	// and budget boundaries (and around the Step tail, which operates on
-	// State directly).
-	pc := s.PC
-	var (
-		done    uint64
-		flushed uint64 // portion of done already folded into s.Retired
-		b       *block
-		slots   []memSlot
-		ops     []uOp
-		o       *uOp
-		j       int
-		err     error
-	)
-
-top:
-	if s.Halted || done >= maxInstructions {
-		goto out
-	}
-	if pc >= codeLen {
-		err = ErrPCOutOfRange{pc}
-		goto out
-	}
-	b = e.blockAt(pc)
-
-enter:
-	if done+b.cost > maxInstructions {
-		goto tail
-	}
-	ops = b.ops
-	slots = b.slots
-	for j = 0; j < len(ops); j++ {
-		o = &ops[j]
-		switch o.kind {
-		case uNop, uLoadNop:
-		case uHalt:
-			s.Halted = true
-			pc = uint64(o.pc) + 1
-			done += uint64(o.cum)
-			goto out
-		case uMovi:
-			regs[o.rd&31] = uint64(o.imm)
-		case uMov:
-			regs[o.rd&31] = regs[o.rs1&31]
-		case uLoad8:
-			// Memory ops go through the op's private translation slot
-			// first (hot page pinned per static instruction, immune to
-			// page-cache aliasing), then the shared direct-mapped page
-			// cache, then the general Read/Write; the slot re-primes on
-			// the slowest path only, so pointer-chasing access patterns
-			// that would thrash it stay on the shared cache.
-			a := regs[o.rs1&31] + uint64(o.imm)
-			off := a & (pageSize - 1)
-			pn := a >> pageShift
-			sl := &slots[o.sIdx]
-			if off <= pageSize-8 && sl.tag == pn+1 && sl.epoch == m.epoch {
-				regs[o.rd&31] = binary.LittleEndian.Uint64(sl.pg[off : off+8])
-			} else if si := pn & (pcacheSlots - 1); off <= pageSize-8 && m.ctags[si] == pn+1 {
-				p := m.cptrs[si]
-				if sl.tag == pn+1 {
-					sl.epoch, sl.pg = m.epoch, p
-				}
-				regs[o.rd&31] = binary.LittleEndian.Uint64(p[off : off+8])
-			} else {
-				regs[o.rd&31] = m.Read(a, 8)
-				if p := m.lookup(pn); p != nil && off <= pageSize-8 {
-					sl.epoch, sl.tag, sl.pg = m.epoch, pn+1, p
-				}
-			}
-		case uLoad4:
-			a := regs[o.rs1&31] + uint64(o.imm)
-			off := a & (pageSize - 1)
-			pn := a >> pageShift
-			sl := &slots[o.sIdx]
-			if off <= pageSize-4 && sl.tag == pn+1 && sl.epoch == m.epoch {
-				regs[o.rd&31] = uint64(binary.LittleEndian.Uint32(sl.pg[off : off+4]))
-			} else if si := pn & (pcacheSlots - 1); off <= pageSize-4 && m.ctags[si] == pn+1 {
-				p := m.cptrs[si]
-				if sl.tag == pn+1 {
-					sl.epoch, sl.pg = m.epoch, p
-				}
-				regs[o.rd&31] = uint64(binary.LittleEndian.Uint32(p[off : off+4]))
-			} else {
-				regs[o.rd&31] = m.Read(a, 4)
-				if p := m.lookup(pn); p != nil && off <= pageSize-4 {
-					sl.epoch, sl.tag, sl.pg = m.epoch, pn+1, p
-				}
-			}
-		case uLoad1:
-			a := regs[o.rs1&31] + uint64(o.imm)
-			pn := a >> pageShift
-			sl := &slots[o.sIdx]
-			if sl.tag == pn+1 && sl.epoch == m.epoch {
-				regs[o.rd&31] = uint64(sl.pg[a&(pageSize-1)])
-			} else if si := pn & (pcacheSlots - 1); m.ctags[si] == pn+1 {
-				p := m.cptrs[si]
-				if sl.tag == pn+1 {
-					sl.epoch, sl.pg = m.epoch, p
-				}
-				regs[o.rd&31] = uint64(p[a&(pageSize-1)])
-			} else {
-				regs[o.rd&31] = m.Read(a, 1)
-				if p := m.lookup(pn); p != nil {
-					sl.epoch, sl.tag, sl.pg = m.epoch, pn+1, p
-				}
-			}
-		case uStore8:
-			a := regs[o.rs1&31] + uint64(o.imm)
-			off := a & (pageSize - 1)
-			pn := a >> pageShift
-			sl := &slots[o.sIdx]
-			if off <= pageSize-8 && sl.tag == pn+1 && sl.epoch == m.epoch {
-				binary.LittleEndian.PutUint64(sl.pg[off:off+8], regs[o.rs2&31])
-			} else if si := pn & (pcacheSlots - 1); off <= pageSize-8 && m.wtags[si] == pn+1 {
-				p := m.wptrs[si]
-				if sl.tag == pn+1 {
-					sl.epoch, sl.pg = m.epoch, p
-				}
-				binary.LittleEndian.PutUint64(p[off:off+8], regs[o.rs2&31])
-			} else {
-				m.Write(a, 8, regs[o.rs2&31])
-				if off <= pageSize-8 {
-					// ensure after Write is a cheap write-cache hit, and if
-					// the write just broke copy-on-write the slot picks up
-					// the fresh epoch and the cloned page.
-					sl.epoch, sl.tag, sl.pg = m.epoch, pn+1, m.ensure(pn)
-				}
-			}
-		case uStore4:
-			a := regs[o.rs1&31] + uint64(o.imm)
-			off := a & (pageSize - 1)
-			pn := a >> pageShift
-			sl := &slots[o.sIdx]
-			if off <= pageSize-4 && sl.tag == pn+1 && sl.epoch == m.epoch {
-				binary.LittleEndian.PutUint32(sl.pg[off:off+4], uint32(regs[o.rs2&31]))
-			} else if si := pn & (pcacheSlots - 1); off <= pageSize-4 && m.wtags[si] == pn+1 {
-				p := m.wptrs[si]
-				if sl.tag == pn+1 {
-					sl.epoch, sl.pg = m.epoch, p
-				}
-				binary.LittleEndian.PutUint32(p[off:off+4], uint32(regs[o.rs2&31]))
-			} else {
-				m.Write(a, 4, regs[o.rs2&31])
-				if off <= pageSize-4 {
-					sl.epoch, sl.tag, sl.pg = m.epoch, pn+1, m.ensure(pn)
-				}
-			}
-		case uStore1:
-			a := regs[o.rs1&31] + uint64(o.imm)
-			pn := a >> pageShift
-			sl := &slots[o.sIdx]
-			if sl.tag == pn+1 && sl.epoch == m.epoch {
-				sl.pg[a&(pageSize-1)] = byte(regs[o.rs2&31])
-			} else if si := pn & (pcacheSlots - 1); m.wtags[si] == pn+1 {
-				p := m.wptrs[si]
-				if sl.tag == pn+1 {
-					sl.epoch, sl.pg = m.epoch, p
-				}
-				p[a&(pageSize-1)] = byte(regs[o.rs2&31])
-			} else {
-				m.Write(a, 1, regs[o.rs2&31])
-				sl.epoch, sl.tag, sl.pg = m.epoch, pn+1, m.ensure(pn)
-			}
-		case uJal:
-			if o.rd != 0 {
-				regs[o.rd&31] = uint64(o.pc) + 1
-			}
-			pc = o.target
-			done += uint64(o.cum)
-			goto taken
-		case uJalIn:
-			if o.rd != 0 {
-				regs[o.rd&31] = uint64(o.pc) + 1
-			}
-		case uJalr:
-			// Read rs1 before writing the link: JALR may use its own
-			// destination as the jump base.
-			a := regs[o.rs1&31] + uint64(o.imm)
-			if o.rd != 0 {
-				regs[o.rd&31] = uint64(o.pc) + 1
-			}
-			pc = a
-			done += uint64(o.cum)
-			goto top
-		case uBeq:
-			if regs[o.rs1&31] == regs[o.rs2&31] {
-				goto bTaken
-			}
-		case uBne:
-			if regs[o.rs1&31] != regs[o.rs2&31] {
-				goto bTaken
-			}
-		case uBlt:
-			if int64(regs[o.rs1&31]) < int64(regs[o.rs2&31]) {
-				goto bTaken
-			}
-		case uBge:
-			if int64(regs[o.rs1&31]) >= int64(regs[o.rs2&31]) {
-				goto bTaken
-			}
-		case uBltu:
-			if regs[o.rs1&31] < regs[o.rs2&31] {
-				goto bTaken
-			}
-		case uBgeu:
-			if regs[o.rs1&31] >= regs[o.rs2&31] {
-				goto bTaken
-			}
-		case uAdd:
-			regs[o.rd&31] = regs[o.rs1&31] + regs[o.rs2&31]
-		case uSub:
-			regs[o.rd&31] = regs[o.rs1&31] - regs[o.rs2&31]
-		case uAnd:
-			regs[o.rd&31] = regs[o.rs1&31] & regs[o.rs2&31]
-		case uOr:
-			regs[o.rd&31] = regs[o.rs1&31] | regs[o.rs2&31]
-		case uXor:
-			regs[o.rd&31] = regs[o.rs1&31] ^ regs[o.rs2&31]
-		case uShl:
-			regs[o.rd&31] = regs[o.rs1&31] << (regs[o.rs2&31] & 63)
-		case uShr:
-			regs[o.rd&31] = regs[o.rs1&31] >> (regs[o.rs2&31] & 63)
-		case uSra:
-			regs[o.rd&31] = uint64(int64(regs[o.rs1&31]) >> (regs[o.rs2&31] & 63))
-		case uMul:
-			regs[o.rd&31] = regs[o.rs1&31] * regs[o.rs2&31]
-		case uAddw:
-			regs[o.rd&31] = uint64(uint32(regs[o.rs1&31]) + uint32(regs[o.rs2&31]))
-		case uSubw:
-			regs[o.rd&31] = uint64(uint32(regs[o.rs1&31]) - uint32(regs[o.rs2&31]))
-		case uRolw:
-			regs[o.rd&31] = uint64(bits.RotateLeft32(uint32(regs[o.rs1&31]), int(regs[o.rs2&31]&31)))
-		case uRorw:
-			regs[o.rd&31] = uint64(bits.RotateLeft32(uint32(regs[o.rs1&31]), -int(regs[o.rs2&31]&31)))
-		case uAddi:
-			regs[o.rd&31] = regs[o.rs1&31] + uint64(o.imm)
-		case uAndi:
-			regs[o.rd&31] = regs[o.rs1&31] & uint64(o.imm)
-		case uOri:
-			regs[o.rd&31] = regs[o.rs1&31] | uint64(o.imm)
-		case uXori:
-			regs[o.rd&31] = regs[o.rs1&31] ^ uint64(o.imm)
-		case uShli:
-			regs[o.rd&31] = regs[o.rs1&31] << (uint64(o.imm) & 63)
-		case uShri:
-			regs[o.rd&31] = regs[o.rs1&31] >> (uint64(o.imm) & 63)
-		case uSrai:
-			regs[o.rd&31] = uint64(int64(regs[o.rs1&31]) >> (uint64(o.imm) & 63))
-		case uSlti:
-			if int64(regs[o.rs1&31]) < o.imm {
-				regs[o.rd&31] = 1
-			} else {
-				regs[o.rd&31] = 0
-			}
-		case uAlu:
-			regs[o.rd&31] = ALU(o.op, regs[o.rs1&31], regs[o.rs2&31], o.imm)
-		case uFused:
-			// First half: the ALU or load instruction at o.pc.
-			switch o.k1 {
-			case uMovi:
-				regs[o.rd&31] = uint64(o.imm)
-			case uMov:
-				regs[o.rd&31] = regs[o.rs1&31]
-			case uAdd:
-				regs[o.rd&31] = regs[o.rs1&31] + regs[o.rs2&31]
-			case uSub:
-				regs[o.rd&31] = regs[o.rs1&31] - regs[o.rs2&31]
-			case uAnd:
-				regs[o.rd&31] = regs[o.rs1&31] & regs[o.rs2&31]
-			case uOr:
-				regs[o.rd&31] = regs[o.rs1&31] | regs[o.rs2&31]
-			case uXor:
-				regs[o.rd&31] = regs[o.rs1&31] ^ regs[o.rs2&31]
-			case uShl:
-				regs[o.rd&31] = regs[o.rs1&31] << (regs[o.rs2&31] & 63)
-			case uShr:
-				regs[o.rd&31] = regs[o.rs1&31] >> (regs[o.rs2&31] & 63)
-			case uSra:
-				regs[o.rd&31] = uint64(int64(regs[o.rs1&31]) >> (regs[o.rs2&31] & 63))
-			case uMul:
-				regs[o.rd&31] = regs[o.rs1&31] * regs[o.rs2&31]
-			case uAddw:
-				regs[o.rd&31] = uint64(uint32(regs[o.rs1&31]) + uint32(regs[o.rs2&31]))
-			case uSubw:
-				regs[o.rd&31] = uint64(uint32(regs[o.rs1&31]) - uint32(regs[o.rs2&31]))
-			case uRolw:
-				regs[o.rd&31] = uint64(bits.RotateLeft32(uint32(regs[o.rs1&31]), int(regs[o.rs2&31]&31)))
-			case uRorw:
-				regs[o.rd&31] = uint64(bits.RotateLeft32(uint32(regs[o.rs1&31]), -int(regs[o.rs2&31]&31)))
-			case uAddi:
-				regs[o.rd&31] = regs[o.rs1&31] + uint64(o.imm)
-			case uAndi:
-				regs[o.rd&31] = regs[o.rs1&31] & uint64(o.imm)
-			case uOri:
-				regs[o.rd&31] = regs[o.rs1&31] | uint64(o.imm)
-			case uXori:
-				regs[o.rd&31] = regs[o.rs1&31] ^ uint64(o.imm)
-			case uShli:
-				regs[o.rd&31] = regs[o.rs1&31] << (uint64(o.imm) & 63)
-			case uShri:
-				regs[o.rd&31] = regs[o.rs1&31] >> (uint64(o.imm) & 63)
-			case uSrai:
-				regs[o.rd&31] = uint64(int64(regs[o.rs1&31]) >> (uint64(o.imm) & 63))
-			case uSlti:
-				if int64(regs[o.rs1&31]) < o.imm {
-					regs[o.rd&31] = 1
-				} else {
-					regs[o.rd&31] = 0
-				}
-			case uLoad8:
-				a := regs[o.rs1&31] + uint64(o.imm)
-				off := a & (pageSize - 1)
-				pn := a >> pageShift
-				sl := &slots[o.sIdx]
-				if off <= pageSize-8 && sl.tag == pn+1 && sl.epoch == m.epoch {
-					regs[o.rd&31] = binary.LittleEndian.Uint64(sl.pg[off : off+8])
-				} else if si := pn & (pcacheSlots - 1); off <= pageSize-8 && m.ctags[si] == pn+1 {
-					p := m.cptrs[si]
-					if sl.tag == pn+1 {
-						sl.epoch, sl.pg = m.epoch, p
-					}
-					regs[o.rd&31] = binary.LittleEndian.Uint64(p[off : off+8])
-				} else {
-					regs[o.rd&31] = m.Read(a, 8)
-					if p := m.lookup(pn); p != nil && off <= pageSize-8 {
-						sl.epoch, sl.tag, sl.pg = m.epoch, pn+1, p
-					}
-				}
-			case uLoad4:
-				a := regs[o.rs1&31] + uint64(o.imm)
-				off := a & (pageSize - 1)
-				pn := a >> pageShift
-				sl := &slots[o.sIdx]
-				if off <= pageSize-4 && sl.tag == pn+1 && sl.epoch == m.epoch {
-					regs[o.rd&31] = uint64(binary.LittleEndian.Uint32(sl.pg[off : off+4]))
-				} else if si := pn & (pcacheSlots - 1); off <= pageSize-4 && m.ctags[si] == pn+1 {
-					p := m.cptrs[si]
-					if sl.tag == pn+1 {
-						sl.epoch, sl.pg = m.epoch, p
-					}
-					regs[o.rd&31] = uint64(binary.LittleEndian.Uint32(p[off : off+4]))
-				} else {
-					regs[o.rd&31] = m.Read(a, 4)
-					if p := m.lookup(pn); p != nil && off <= pageSize-4 {
-						sl.epoch, sl.tag, sl.pg = m.epoch, pn+1, p
-					}
-				}
-			case uLoad1:
-				a := regs[o.rs1&31] + uint64(o.imm)
-				pn := a >> pageShift
-				sl := &slots[o.sIdx]
-				if sl.tag == pn+1 && sl.epoch == m.epoch {
-					regs[o.rd&31] = uint64(sl.pg[a&(pageSize-1)])
-				} else if si := pn & (pcacheSlots - 1); m.ctags[si] == pn+1 {
-					p := m.cptrs[si]
-					if sl.tag == pn+1 {
-						sl.epoch, sl.pg = m.epoch, p
-					}
-					regs[o.rd&31] = uint64(p[a&(pageSize-1)])
-				} else {
-					regs[o.rd&31] = m.Read(a, 1)
-					if p := m.lookup(pn); p != nil {
-						sl.epoch, sl.tag, sl.pg = m.epoch, pn+1, p
-					}
-				}
-			}
-			// Second half: the branch, memory, or ALU instruction at
-			// o.pc+1 (operands in rd2/rs21/rs22/imm2).
-			switch o.k2 {
-			case uMovi:
-				regs[o.rd2&31] = uint64(o.imm2)
-			case uMov:
-				regs[o.rd2&31] = regs[o.rs21&31]
-			case uAdd:
-				regs[o.rd2&31] = regs[o.rs21&31] + regs[o.rs22&31]
-			case uSub:
-				regs[o.rd2&31] = regs[o.rs21&31] - regs[o.rs22&31]
-			case uAnd:
-				regs[o.rd2&31] = regs[o.rs21&31] & regs[o.rs22&31]
-			case uOr:
-				regs[o.rd2&31] = regs[o.rs21&31] | regs[o.rs22&31]
-			case uXor:
-				regs[o.rd2&31] = regs[o.rs21&31] ^ regs[o.rs22&31]
-			case uMul:
-				regs[o.rd2&31] = regs[o.rs21&31] * regs[o.rs22&31]
-			case uShl:
-				regs[o.rd2&31] = regs[o.rs21&31] << (regs[o.rs22&31] & 63)
-			case uShr:
-				regs[o.rd2&31] = regs[o.rs21&31] >> (regs[o.rs22&31] & 63)
-			case uSra:
-				regs[o.rd2&31] = uint64(int64(regs[o.rs21&31]) >> (regs[o.rs22&31] & 63))
-			case uAddw:
-				regs[o.rd2&31] = uint64(uint32(regs[o.rs21&31]) + uint32(regs[o.rs22&31]))
-			case uSubw:
-				regs[o.rd2&31] = uint64(uint32(regs[o.rs21&31]) - uint32(regs[o.rs22&31]))
-			case uRolw:
-				regs[o.rd2&31] = uint64(bits.RotateLeft32(uint32(regs[o.rs21&31]), int(regs[o.rs22&31]&31)))
-			case uRorw:
-				regs[o.rd2&31] = uint64(bits.RotateLeft32(uint32(regs[o.rs21&31]), -int(regs[o.rs22&31]&31)))
-			case uAddi:
-				regs[o.rd2&31] = regs[o.rs21&31] + uint64(o.imm2)
-			case uAndi:
-				regs[o.rd2&31] = regs[o.rs21&31] & uint64(o.imm2)
-			case uOri:
-				regs[o.rd2&31] = regs[o.rs21&31] | uint64(o.imm2)
-			case uXori:
-				regs[o.rd2&31] = regs[o.rs21&31] ^ uint64(o.imm2)
-			case uShli:
-				regs[o.rd2&31] = regs[o.rs21&31] << (uint64(o.imm2) & 63)
-			case uShri:
-				regs[o.rd2&31] = regs[o.rs21&31] >> (uint64(o.imm2) & 63)
-			case uSrai:
-				regs[o.rd2&31] = uint64(int64(regs[o.rs21&31]) >> (uint64(o.imm2) & 63))
-			case uSlti:
-				if int64(regs[o.rs21&31]) < o.imm2 {
-					regs[o.rd2&31] = 1
-				} else {
-					regs[o.rd2&31] = 0
-				}
-			case uBeq:
-				if regs[o.rs21&31] == regs[o.rs22&31] {
-					goto bTaken
-				}
-			case uBne:
-				if regs[o.rs21&31] != regs[o.rs22&31] {
-					goto bTaken
-				}
-			case uBlt:
-				if int64(regs[o.rs21&31]) < int64(regs[o.rs22&31]) {
-					goto bTaken
-				}
-			case uBge:
-				if int64(regs[o.rs21&31]) >= int64(regs[o.rs22&31]) {
-					goto bTaken
-				}
-			case uBltu:
-				if regs[o.rs21&31] < regs[o.rs22&31] {
-					goto bTaken
-				}
-			case uBgeu:
-				if regs[o.rs21&31] >= regs[o.rs22&31] {
-					goto bTaken
-				}
-			case uLoad8:
-				a := regs[o.rs21&31] + uint64(o.imm2)
-				off := a & (pageSize - 1)
-				pn := a >> pageShift
-				sl := &slots[o.sIdx]
-				if off <= pageSize-8 && sl.tag == pn+1 && sl.epoch == m.epoch {
-					regs[o.rd2&31] = binary.LittleEndian.Uint64(sl.pg[off : off+8])
-				} else if si := pn & (pcacheSlots - 1); off <= pageSize-8 && m.ctags[si] == pn+1 {
-					p := m.cptrs[si]
-					if sl.tag == pn+1 {
-						sl.epoch, sl.pg = m.epoch, p
-					}
-					regs[o.rd2&31] = binary.LittleEndian.Uint64(p[off : off+8])
-				} else {
-					regs[o.rd2&31] = m.Read(a, 8)
-					if p := m.lookup(pn); p != nil && off <= pageSize-8 {
-						sl.epoch, sl.tag, sl.pg = m.epoch, pn+1, p
-					}
-				}
-			case uLoad4:
-				a := regs[o.rs21&31] + uint64(o.imm2)
-				off := a & (pageSize - 1)
-				pn := a >> pageShift
-				sl := &slots[o.sIdx]
-				if off <= pageSize-4 && sl.tag == pn+1 && sl.epoch == m.epoch {
-					regs[o.rd2&31] = uint64(binary.LittleEndian.Uint32(sl.pg[off : off+4]))
-				} else if si := pn & (pcacheSlots - 1); off <= pageSize-4 && m.ctags[si] == pn+1 {
-					p := m.cptrs[si]
-					if sl.tag == pn+1 {
-						sl.epoch, sl.pg = m.epoch, p
-					}
-					regs[o.rd2&31] = uint64(binary.LittleEndian.Uint32(p[off : off+4]))
-				} else {
-					regs[o.rd2&31] = m.Read(a, 4)
-					if p := m.lookup(pn); p != nil && off <= pageSize-4 {
-						sl.epoch, sl.tag, sl.pg = m.epoch, pn+1, p
-					}
-				}
-			case uLoad1:
-				a := regs[o.rs21&31] + uint64(o.imm2)
-				pn := a >> pageShift
-				sl := &slots[o.sIdx]
-				if sl.tag == pn+1 && sl.epoch == m.epoch {
-					regs[o.rd2&31] = uint64(sl.pg[a&(pageSize-1)])
-				} else if si := pn & (pcacheSlots - 1); m.ctags[si] == pn+1 {
-					p := m.cptrs[si]
-					if sl.tag == pn+1 {
-						sl.epoch, sl.pg = m.epoch, p
-					}
-					regs[o.rd2&31] = uint64(p[a&(pageSize-1)])
-				} else {
-					regs[o.rd2&31] = m.Read(a, 1)
-					if p := m.lookup(pn); p != nil {
-						sl.epoch, sl.tag, sl.pg = m.epoch, pn+1, p
-					}
-				}
-			case uStore8:
-				a := regs[o.rs21&31] + uint64(o.imm2)
-				off := a & (pageSize - 1)
-				pn := a >> pageShift
-				sl := &slots[o.sIdx]
-				if off <= pageSize-8 && sl.tag == pn+1 && sl.epoch == m.epoch {
-					binary.LittleEndian.PutUint64(sl.pg[off:off+8], regs[o.rs22&31])
-				} else if si := pn & (pcacheSlots - 1); off <= pageSize-8 && m.wtags[si] == pn+1 {
-					p := m.wptrs[si]
-					if sl.tag == pn+1 {
-						sl.epoch, sl.pg = m.epoch, p
-					}
-					binary.LittleEndian.PutUint64(p[off:off+8], regs[o.rs22&31])
-				} else {
-					m.Write(a, 8, regs[o.rs22&31])
-					if off <= pageSize-8 {
-						sl.epoch, sl.tag, sl.pg = m.epoch, pn+1, m.ensure(pn)
-					}
-				}
-			case uStore4:
-				a := regs[o.rs21&31] + uint64(o.imm2)
-				off := a & (pageSize - 1)
-				pn := a >> pageShift
-				sl := &slots[o.sIdx]
-				if off <= pageSize-4 && sl.tag == pn+1 && sl.epoch == m.epoch {
-					binary.LittleEndian.PutUint32(sl.pg[off:off+4], uint32(regs[o.rs22&31]))
-				} else if si := pn & (pcacheSlots - 1); off <= pageSize-4 && m.wtags[si] == pn+1 {
-					p := m.wptrs[si]
-					if sl.tag == pn+1 {
-						sl.epoch, sl.pg = m.epoch, p
-					}
-					binary.LittleEndian.PutUint32(p[off:off+4], uint32(regs[o.rs22&31]))
-				} else {
-					m.Write(a, 4, regs[o.rs22&31])
-					if off <= pageSize-4 {
-						sl.epoch, sl.tag, sl.pg = m.epoch, pn+1, m.ensure(pn)
-					}
-				}
-			case uStore1:
-				a := regs[o.rs21&31] + uint64(o.imm2)
-				pn := a >> pageShift
-				sl := &slots[o.sIdx]
-				if sl.tag == pn+1 && sl.epoch == m.epoch {
-					sl.pg[a&(pageSize-1)] = byte(regs[o.rs22&31])
-				} else if si := pn & (pcacheSlots - 1); m.wtags[si] == pn+1 {
-					p := m.wptrs[si]
-					if sl.tag == pn+1 {
-						sl.epoch, sl.pg = m.epoch, p
-					}
-					p[a&(pageSize-1)] = byte(regs[o.rs22&31])
-				} else {
-					m.Write(a, 1, regs[o.rs22&31])
-					sl.epoch, sl.tag, sl.pg = m.epoch, pn+1, m.ensure(pn)
-				}
-			}
-		}
-		continue
-
-	bTaken:
-		pc = o.target
-		done += uint64(o.cum)
-		goto taken
-	}
-
-	// Fell off the end of the block: resume at the next sequential PC.
-	pc = b.end
-	done += b.cost
-	if b.next == nil {
-		if pc >= codeLen {
-			err = ErrPCOutOfRange{pc}
-			goto out
-		}
-		b.next = e.blockAt(pc)
-	}
-	b = b.next
-	goto enter
-
-taken:
-	if o.succ == nil {
-		if pc >= codeLen {
-			err = ErrPCOutOfRange{pc}
-			goto out
-		}
-		o.succ = e.blockAt(pc)
-	}
-	b = o.succ
-	goto enter
-
-tail:
-	// The remaining budget does not cover the next block whole: retire the
-	// leftovers one instruction at a time through Step (identical
-	// semantics by contract), which also splits fused pairs cleanly. Step
-	// operates on State, so the shadowed pc and retired count are flushed
-	// first and reloaded after.
-	s.PC = pc
-	s.Retired += done - flushed
-	flushed = done
-	for done < maxInstructions && !s.Halted {
-		pc = s.PC
-		if pc >= codeLen {
-			err = ErrPCOutOfRange{pc}
-			goto out
-		}
-		if err = e.Step(); err != nil {
-			pc = s.PC
-			goto out
-		}
-		done++
-		flushed++
-	}
-	pc = s.PC
-	goto top
-
-out:
-	s.PC = pc
-	s.Retired += done - flushed
-	return done, err
-}
-
-// runObserved is runFast with per-instruction observation woven in: it is
-// the shared engine behind RunHooked and RunWarm. Control
-// chains superblock to superblock through cached successor pointers
-// (taken exits through the exiting op's succ, fall-through through the
-// block's next); only dynamic jumps fall back to a cache lookup. A block
-// executes on the fast path only when the remaining budget covers it
-// whole — the final partial block runs through the per-instruction Step
-// reference, which also splits fused pairs at budget boundaries.
-//
-// hook, if non-nil, observes every instruction (original encoding,
-// pre-execution state) before it executes. With warm set, every
-// instruction appends one WarmEvent to the warming buffer, flushed
-// through flush whenever it fills and before every return.
-func (e *Emulator) runObserved(maxInstructions uint64, hook func(pc uint64, ins *isa.Instruction), warm bool, flush func([]WarmEvent)) (uint64, error) {
+// Every instruction appends one WarmEvent to the warming buffer, captured
+// from pre-execution state; the buffer is flushed through flush whenever
+// it fills and before every return. Run passes a sink that discards the
+// events, so there is one loop and one mode.
+func (e *Emulator) runBlocks(maxInstructions uint64, flush func([]WarmEvent)) (uint64, error) {
 	s := &e.State
 	regs := &s.Regs
 	m := s.Mem
@@ -1106,19 +470,17 @@ func (e *Emulator) runObserved(maxInstructions uint64, hook func(pc uint64, ins 
 	var (
 		done  uint64
 		b     *block
-		buf   []WarmEvent
 		slots []memSlot
 		ops   []uOp
 		o     *uOp
+		ev    *WarmEvent // the current instruction's event (last in buf)
 		j     int
 		err   error
 	)
-	if warm {
-		if e.warmBuf == nil {
-			e.warmBuf = make([]WarmEvent, 0, warmBufCap)
-		}
-		buf = e.warmBuf[:0]
+	if e.warmBuf == nil {
+		e.warmBuf = make([]WarmEvent, 0, warmBufCap)
 	}
+	buf := e.warmBuf[:0]
 
 top:
 	if s.Halted || done >= maxInstructions {
@@ -1138,16 +500,11 @@ enter:
 	slots = b.slots
 	for j = 0; j < len(ops); j++ {
 		o = &ops[j]
-		if hook != nil {
-			hook(uint64(o.pc), &code[o.pc])
+		if len(buf)+2 > cap(buf) {
+			flush(buf)
+			buf = buf[:0]
 		}
-		if warm {
-			if len(buf)+2 > cap(buf) {
-				flush(buf)
-				buf = buf[:0]
-			}
-			buf = append(buf, WarmEvent{PC: uint64(o.pc)})
-		}
+		buf = append(buf, WarmEvent{PC: uint64(o.pc)})
 		switch o.kind {
 		case uNop:
 		case uHalt:
@@ -1161,22 +518,18 @@ enter:
 		case uMov:
 			regs[o.rd&31] = regs[o.rs1&31]
 		case uLoadNop:
-			if warm {
-				ev := &buf[len(buf)-1]
-				ev.Kind = WarmLoad
-				ev.Aux = regs[o.rs1&31] + uint64(o.imm)
-			}
+			ev = &buf[len(buf)-1]
+			ev.Kind = WarmLoad
+			ev.Aux = regs[o.rs1&31] + uint64(o.imm)
 		case uLoad8:
 			// Memory ops go through the op's private translation slot
 			// first (hot page pinned per static instruction, immune to
 			// page-cache aliasing); any miss falls back to the general
 			// Read/Write, then re-primes the slot.
 			a := regs[o.rs1&31] + uint64(o.imm)
-			if warm {
-				ev := &buf[len(buf)-1]
-				ev.Kind = WarmLoad
-				ev.Aux = a
-			}
+			ev = &buf[len(buf)-1]
+			ev.Kind = WarmLoad
+			ev.Aux = a
 			off := a & (pageSize - 1)
 			pn := a >> pageShift
 			sl := &slots[o.sIdx]
@@ -1190,11 +543,9 @@ enter:
 			}
 		case uLoad4:
 			a := regs[o.rs1&31] + uint64(o.imm)
-			if warm {
-				ev := &buf[len(buf)-1]
-				ev.Kind = WarmLoad
-				ev.Aux = a
-			}
+			ev = &buf[len(buf)-1]
+			ev.Kind = WarmLoad
+			ev.Aux = a
 			off := a & (pageSize - 1)
 			pn := a >> pageShift
 			sl := &slots[o.sIdx]
@@ -1208,11 +559,9 @@ enter:
 			}
 		case uLoad1:
 			a := regs[o.rs1&31] + uint64(o.imm)
-			if warm {
-				ev := &buf[len(buf)-1]
-				ev.Kind = WarmLoad
-				ev.Aux = a
-			}
+			ev = &buf[len(buf)-1]
+			ev.Kind = WarmLoad
+			ev.Aux = a
 			pn := a >> pageShift
 			sl := &slots[o.sIdx]
 			if sl.tag == pn+1 && sl.epoch == m.epoch {
@@ -1225,11 +574,9 @@ enter:
 			}
 		case uStore8:
 			a := regs[o.rs1&31] + uint64(o.imm)
-			if warm {
-				ev := &buf[len(buf)-1]
-				ev.Kind = WarmStore
-				ev.Aux = a
-			}
+			ev = &buf[len(buf)-1]
+			ev.Kind = WarmStore
+			ev.Aux = a
 			off := a & (pageSize - 1)
 			pn := a >> pageShift
 			sl := &slots[o.sIdx]
@@ -1246,11 +593,9 @@ enter:
 			}
 		case uStore4:
 			a := regs[o.rs1&31] + uint64(o.imm)
-			if warm {
-				ev := &buf[len(buf)-1]
-				ev.Kind = WarmStore
-				ev.Aux = a
-			}
+			ev = &buf[len(buf)-1]
+			ev.Kind = WarmStore
+			ev.Aux = a
 			off := a & (pageSize - 1)
 			pn := a >> pageShift
 			sl := &slots[o.sIdx]
@@ -1264,11 +609,9 @@ enter:
 			}
 		case uStore1:
 			a := regs[o.rs1&31] + uint64(o.imm)
-			if warm {
-				ev := &buf[len(buf)-1]
-				ev.Kind = WarmStore
-				ev.Aux = a
-			}
+			ev = &buf[len(buf)-1]
+			ev.Kind = WarmStore
+			ev.Aux = a
 			pn := a >> pageShift
 			sl := &slots[o.sIdx]
 			if sl.tag == pn+1 && sl.epoch == m.epoch {
@@ -1278,14 +621,12 @@ enter:
 				sl.epoch, sl.tag, sl.pg = m.epoch, pn+1, m.ensure(pn)
 			}
 		case uJal:
-			if warm {
-				ev := &buf[len(buf)-1]
-				ev.Aux = o.target
-				if o.rd == raReg {
-					ev.Kind = WarmJalCall
-				} else {
-					ev.Kind = WarmJal
-				}
+			ev = &buf[len(buf)-1]
+			ev.Aux = o.target
+			if o.rd == raReg {
+				ev.Kind = WarmJalCall
+			} else {
+				ev.Kind = WarmJal
 			}
 			if o.rd != 0 {
 				regs[o.rd&31] = uint64(o.pc) + 1
@@ -1295,14 +636,12 @@ enter:
 			done += uint64(o.cum)
 			goto taken
 		case uJalIn:
-			if warm {
-				ev := &buf[len(buf)-1]
-				ev.Aux = o.target
-				if o.rd == raReg {
-					ev.Kind = WarmJalCall
-				} else {
-					ev.Kind = WarmJal
-				}
+			ev = &buf[len(buf)-1]
+			ev.Aux = o.target
+			if o.rd == raReg {
+				ev.Kind = WarmJalCall
+			} else {
+				ev.Kind = WarmJal
 			}
 			if o.rd != 0 {
 				regs[o.rd&31] = uint64(o.pc) + 1
@@ -1311,17 +650,15 @@ enter:
 			// Read rs1 before writing the link: JALR may use its own
 			// destination as the jump base.
 			a := regs[o.rs1&31] + uint64(o.imm)
-			if warm {
-				ev := &buf[len(buf)-1]
-				ev.Aux = a
-				switch {
-				case o.rd == raReg:
-					ev.Kind = WarmJalrCall
-				case o.rs1 == raReg:
-					ev.Kind = WarmJalrRet
-				default:
-					ev.Kind = WarmJalr
-				}
+			ev = &buf[len(buf)-1]
+			ev.Aux = a
+			switch {
+			case o.rd == raReg:
+				ev.Kind = WarmJalrCall
+			case o.rs1 == raReg:
+				ev.Kind = WarmJalrRet
+			default:
+				ev.Kind = WarmJalr
 			}
 			if o.rd != 0 {
 				regs[o.rd&31] = uint64(o.pc) + 1
@@ -1463,11 +800,9 @@ enter:
 				}
 			case uLoad8:
 				a := regs[o.rs1&31] + uint64(o.imm)
-				if warm {
-					ev := &buf[len(buf)-1]
-					ev.Kind = WarmLoad
-					ev.Aux = a
-				}
+				ev = &buf[len(buf)-1]
+				ev.Kind = WarmLoad
+				ev.Aux = a
 				off := a & (pageSize - 1)
 				pn := a >> pageShift
 				sl := &slots[o.sIdx]
@@ -1487,11 +822,9 @@ enter:
 				}
 			case uLoad4:
 				a := regs[o.rs1&31] + uint64(o.imm)
-				if warm {
-					ev := &buf[len(buf)-1]
-					ev.Kind = WarmLoad
-					ev.Aux = a
-				}
+				ev = &buf[len(buf)-1]
+				ev.Kind = WarmLoad
+				ev.Aux = a
 				off := a & (pageSize - 1)
 				pn := a >> pageShift
 				sl := &slots[o.sIdx]
@@ -1511,11 +844,9 @@ enter:
 				}
 			case uLoad1:
 				a := regs[o.rs1&31] + uint64(o.imm)
-				if warm {
-					ev := &buf[len(buf)-1]
-					ev.Kind = WarmLoad
-					ev.Aux = a
-				}
+				ev = &buf[len(buf)-1]
+				ev.Kind = WarmLoad
+				ev.Aux = a
 				pn := a >> pageShift
 				sl := &slots[o.sIdx]
 				if sl.tag == pn+1 && sl.epoch == m.epoch {
@@ -1533,16 +864,11 @@ enter:
 					}
 				}
 			}
-			// Second half: the branch or memory instruction at o.pc+1.
-			// The hook (and the warm event) observe it after the first
-			// half executed — exactly the state the per-instruction
-			// reference paths would see.
-			if hook != nil {
-				hook(uint64(o.pc)+1, &code[o.pc+1])
-			}
-			if warm {
-				buf = append(buf, WarmEvent{PC: uint64(o.pc) + 1})
-			}
+			// Second half: the branch, memory, or ALU instruction at
+			// o.pc+1 (operands in rd2/rs21/rs22/imm2). Its warm event
+			// observes the state after the first half executed — exactly
+			// what the per-instruction reference sees.
+			buf = append(buf, WarmEvent{PC: uint64(o.pc) + 1})
 			switch o.k2 {
 			case uMovi:
 				regs[o.rd2&31] = uint64(o.imm2)
@@ -1626,11 +952,9 @@ enter:
 				goto bNotTaken
 			case uLoad8:
 				a := regs[o.rs21&31] + uint64(o.imm2)
-				if warm {
-					ev := &buf[len(buf)-1]
-					ev.Kind = WarmLoad
-					ev.Aux = a
-				}
+				ev = &buf[len(buf)-1]
+				ev.Kind = WarmLoad
+				ev.Aux = a
 				off := a & (pageSize - 1)
 				pn := a >> pageShift
 				sl := &slots[o.sIdx]
@@ -1644,11 +968,9 @@ enter:
 				}
 			case uLoad4:
 				a := regs[o.rs21&31] + uint64(o.imm2)
-				if warm {
-					ev := &buf[len(buf)-1]
-					ev.Kind = WarmLoad
-					ev.Aux = a
-				}
+				ev = &buf[len(buf)-1]
+				ev.Kind = WarmLoad
+				ev.Aux = a
 				off := a & (pageSize - 1)
 				pn := a >> pageShift
 				sl := &slots[o.sIdx]
@@ -1662,11 +984,9 @@ enter:
 				}
 			case uLoad1:
 				a := regs[o.rs21&31] + uint64(o.imm2)
-				if warm {
-					ev := &buf[len(buf)-1]
-					ev.Kind = WarmLoad
-					ev.Aux = a
-				}
+				ev = &buf[len(buf)-1]
+				ev.Kind = WarmLoad
+				ev.Aux = a
 				pn := a >> pageShift
 				sl := &slots[o.sIdx]
 				if sl.tag == pn+1 && sl.epoch == m.epoch {
@@ -1679,11 +999,9 @@ enter:
 				}
 			case uStore8:
 				a := regs[o.rs21&31] + uint64(o.imm2)
-				if warm {
-					ev := &buf[len(buf)-1]
-					ev.Kind = WarmStore
-					ev.Aux = a
-				}
+				ev = &buf[len(buf)-1]
+				ev.Kind = WarmStore
+				ev.Aux = a
 				off := a & (pageSize - 1)
 				pn := a >> pageShift
 				sl := &slots[o.sIdx]
@@ -1697,11 +1015,9 @@ enter:
 				}
 			case uStore4:
 				a := regs[o.rs21&31] + uint64(o.imm2)
-				if warm {
-					ev := &buf[len(buf)-1]
-					ev.Kind = WarmStore
-					ev.Aux = a
-				}
+				ev = &buf[len(buf)-1]
+				ev.Kind = WarmStore
+				ev.Aux = a
 				off := a & (pageSize - 1)
 				pn := a >> pageShift
 				sl := &slots[o.sIdx]
@@ -1715,11 +1031,9 @@ enter:
 				}
 			case uStore1:
 				a := regs[o.rs21&31] + uint64(o.imm2)
-				if warm {
-					ev := &buf[len(buf)-1]
-					ev.Kind = WarmStore
-					ev.Aux = a
-				}
+				ev = &buf[len(buf)-1]
+				ev.Kind = WarmStore
+				ev.Aux = a
 				pn := a >> pageShift
 				sl := &slots[o.sIdx]
 				if sl.tag == pn+1 && sl.epoch == m.epoch {
@@ -1735,19 +1049,15 @@ enter:
 	bNotTaken:
 		// Not-taken branch: execution continues in-block (the superblock
 		// decoded through the fall-through path).
-		if warm {
-			ev := &buf[len(buf)-1]
-			ev.Kind = WarmCondNotTaken
-			ev.Aux = ev.PC + 1
-		}
+		ev = &buf[len(buf)-1]
+		ev.Kind = WarmCondNotTaken
+		ev.Aux = ev.PC + 1
 		continue
 
 	bTaken:
-		if warm {
-			ev := &buf[len(buf)-1]
-			ev.Kind = WarmCondTaken
-			ev.Aux = o.target
-		}
+		ev = &buf[len(buf)-1]
+		ev.Kind = WarmCondTaken
+		ev.Aux = o.target
 		s.PC = o.target
 		s.Retired += uint64(o.cum)
 		done += uint64(o.cum)
@@ -1788,16 +1098,11 @@ tail:
 			err = ErrPCOutOfRange{s.PC}
 			goto out
 		}
-		if hook != nil {
-			hook(s.PC, &code[s.PC])
+		if len(buf) >= cap(buf) {
+			flush(buf)
+			buf = buf[:0]
 		}
-		if warm {
-			if len(buf) >= cap(buf) {
-				flush(buf)
-				buf = buf[:0]
-			}
-			buf = append(buf, warmEventFor(s, s.PC, &code[s.PC]))
-		}
+		buf = append(buf, warmEventFor(s, s.PC, &code[s.PC]))
 		if err = e.Step(); err != nil {
 			goto out
 		}
@@ -1806,11 +1111,9 @@ tail:
 	goto top
 
 out:
-	if warm {
-		if len(buf) > 0 {
-			flush(buf)
-		}
-		e.warmBuf = buf[:0]
+	if len(buf) > 0 {
+		flush(buf)
 	}
+	e.warmBuf = buf[:0]
 	return done, err
 }

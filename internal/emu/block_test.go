@@ -2,6 +2,7 @@ package emu
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -11,10 +12,16 @@ import (
 )
 
 // stepRun drives the golden Step interpreter for up to max instructions,
-// mirroring Run's stopping conditions (halt or budget).
-func stepRun(e *Emulator, max uint64) (uint64, error) {
+// mirroring Run's stopping conditions (halt or budget). With evs non-nil it
+// also records, before each instruction executes, the warming event
+// warmEventFor derives from the pre-execution state — the reference the
+// block engine's inline event emission is held to.
+func stepRun(e *Emulator, max uint64, evs *[]WarmEvent) (uint64, error) {
 	var n uint64
 	for n < max && !e.State.Halted {
+		if evs != nil && e.State.PC < uint64(len(e.Prog.Code)) {
+			*evs = append(*evs, warmEventFor(&e.State, e.State.PC, &e.Prog.Code[e.State.PC]))
+		}
 		if err := e.Step(); err != nil {
 			return n, err
 		}
@@ -27,26 +34,45 @@ func sameState(a, b *State) bool {
 	return a.PC == b.PC && a.Halted == b.Halted && a.Retired == b.Retired && a.Regs == b.Regs
 }
 
-// compareEngines runs prog on the block engine (in chunks drawn from rng,
-// exercising budget truncation mid-block) and on the Step loop, comparing
-// the full architectural state at every chunk boundary and the memory
-// image at the end. Returns an error description, or "" on success.
+// compareEngines runs prog through RunWarm (in chunks drawn from rng,
+// exercising budget truncation mid-block, fused-pair splits, and event
+// buffer flushes) and through the Step loop, in lockstep. Within every
+// chunk the block engine's warming events must equal, one for one, the
+// events warmEventFor derives from each instruction's pre-execution state
+// in the Step loop; at every chunk boundary the full architectural state
+// must match, and the memory images must match at the end. Every event
+// carries its PC and an operand-derived Aux, so this also pins the
+// retirement order and the pre-execution operands each instruction saw.
+// Returns an error description, or "" on success.
 func compareEngines(prog *isa.Program, budget uint64, rng *rand.Rand) string {
 	blk := New(prog)
 	ref := New(prog)
 	var done uint64
+	var got, want []WarmEvent
 	for done < budget && !blk.State.Halted {
 		chunk := uint64(1 + rng.Intn(700))
+		if rng.Intn(8) == 0 {
+			chunk = uint64(1 + rng.Intn(3*warmBufCap)) // spans buffer flushes
+		}
 		if done+chunk > budget {
 			chunk = budget - done
 		}
-		nb, errB := blk.Run(chunk)
-		ns, errS := stepRun(ref, chunk)
+		got, want = got[:0], want[:0]
+		nb, errB := blk.RunWarm(chunk, func(evs []WarmEvent) { got = append(got, evs...) })
+		ns, errS := stepRun(ref, chunk, &want)
 		if (errB == nil) != (errS == nil) || (errB != nil && errB.Error() != errS.Error()) {
 			return "error mismatch: block=" + errString(errB) + " step=" + errString(errS)
 		}
 		if nb != ns {
 			return "retired-count mismatch within chunk"
+		}
+		if len(got) != len(want) {
+			return fmt.Sprintf("chunk at %d: block engine emitted %d warm events, step loop %d", done, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				return fmt.Sprintf("warm event %d diverges: block %+v, step %+v", done+uint64(i), got[i], want[i])
+			}
 		}
 		if !sameState(&blk.State, &ref.State) {
 			return "architectural state diverged at chunk boundary"
@@ -81,8 +107,9 @@ func errString(err error) string {
 }
 
 // TestBlockEngineMatchesStepOnSuite cross-checks the threaded-code engine
-// against the Step interpreter on real suite kernels, with random budget
-// chunking so blocks are entered mid-stream and truncated mid-block.
+// against the Step interpreter, event by event, on real suite kernels, with
+// random budget chunking so blocks are entered mid-stream and truncated
+// mid-block.
 func TestBlockEngineMatchesStepOnSuite(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, name := range []string{"gcc", "mcf", "xz", "aes-bitslice", "chacha20"} {
@@ -98,9 +125,9 @@ func TestBlockEngineMatchesStepOnSuite(t *testing.T) {
 }
 
 // TestBlockEngineMatchesStepQuick property-tests the two engines on random
-// programs: same final registers, PC, halt state, retired count, memory
-// image, and identical errors (including ErrPCOutOfRange) under random
-// chunking.
+// programs: same warming events, final registers, PC, halt state, retired
+// count, memory image, and identical errors (including ErrPCOutOfRange)
+// under random chunking.
 func TestBlockEngineMatchesStepQuick(t *testing.T) {
 	f := func(seed int64, chunkSeed int64) bool {
 		rng := rand.New(rand.NewSource(chunkSeed))
@@ -128,7 +155,7 @@ func TestBlockEngineOutOfRange(t *testing.T) {
 	blk := New(p)
 	nb, errB := blk.Run(100)
 	ref := New(p)
-	ns, errS := stepRun(ref, 100)
+	ns, errS := stepRun(ref, 100, nil)
 	var oorB, oorS ErrPCOutOfRange
 	if !errors.As(errB, &oorB) || !errors.As(errS, &oorS) {
 		t.Fatalf("expected ErrPCOutOfRange from both: block=%v step=%v", errB, errS)
@@ -317,59 +344,6 @@ func TestInvalidateCodeSecondRange(t *testing.T) {
 	}
 	if e.State.Regs[2] != 100 {
 		t.Fatalf("post-patch r2 = %d, want 100 (stale second-range decode executed)", e.State.Regs[2])
-	}
-}
-
-// TestRunHookedTraceMatchesStep verifies the hook sees every instruction,
-// in retirement order, with pre-execution state — regardless of how the
-// budget is chunked — by comparing its (pc, op, rs1-value) trace to one
-// collected from the Step loop.
-func TestRunHookedTraceMatchesStep(t *testing.T) {
-	type ev struct {
-		pc  uint64
-		op  isa.Op
-		rs1 uint64
-	}
-	w, err := workloads.ByName("gcc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := w.Build(1 << 40)
-	const budget = 20_000
-
-	var want []ev
-	ref := New(p)
-	for uint64(len(want)) < budget && !ref.State.Halted {
-		ins := p.Code[ref.State.PC]
-		want = append(want, ev{ref.State.PC, ins.Op, ref.State.Regs[ins.Rs1]})
-		if err := ref.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	var got []ev
-	hooked := New(p)
-	rng := rand.New(rand.NewSource(7))
-	for uint64(len(got)) < budget && !hooked.State.Halted {
-		chunk := uint64(1 + rng.Intn(997))
-		if rem := budget - uint64(len(got)); chunk > rem {
-			chunk = rem
-		}
-		_, err := hooked.RunHooked(chunk, func(pc uint64, ins *isa.Instruction) {
-			got = append(got, ev{pc, ins.Op, hooked.State.Regs[ins.Rs1]})
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	if len(got) != len(want) {
-		t.Fatalf("hook saw %d instructions, step trace has %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("trace diverges at %d: hook %+v, step %+v", i, got[i], want[i])
-		}
 	}
 }
 

@@ -219,10 +219,10 @@ type State struct {
 }
 
 // Emulator executes µRISC programs. Step interprets one instruction at a
-// time from the program text (the golden reference path); Run and
-// RunHooked execute through the predecoded basic-block cache (block.go),
-// which is semantically identical but several times faster. The two paths
-// can be mixed freely on one emulator.
+// time from the program text (the golden reference path); Run and RunWarm
+// execute through the predecoded basic-block cache (block.go), which is
+// semantically identical but several times faster. The two paths can be
+// mixed freely on one emulator.
 type Emulator struct {
 	Prog  *isa.Program
 	State State
@@ -234,7 +234,8 @@ type Emulator struct {
 	// survives Restore. SetCode/InvalidateCode drop stale entries.
 	blocks []*block
 
-	// warmBuf is RunWarm's reusable event buffer (warm.go).
+	// warmBuf is the dispatch loop's reusable warming-event buffer
+	// (warm.go), shared by Run and RunWarm.
 	warmBuf []WarmEvent
 }
 
@@ -313,20 +314,14 @@ func (e *Emulator) Step() error {
 
 // Run executes until the machine halts or maxInstructions retire, through
 // the predecoded basic-block engine. It reports the number of instructions
-// retired by this call.
+// retired by this call. Run is RunWarm with the warming events discarded:
+// the block engine has one dispatch loop, which always records them.
 func (e *Emulator) Run(maxInstructions uint64) (uint64, error) {
-	return e.runFast(maxInstructions)
+	return e.runBlocks(maxInstructions, discardWarm)
 }
 
-// RunHooked is Run with a per-instruction observer: hook is called before
-// each instruction executes, with the instruction's PC and its encoding
-// (a pointer into Prog.Code — do not retain it) while State still holds
-// the pre-execution register file. It is the per-instruction reference
-// observation path; the checkpoint walker's fast path batches the same
-// information through RunWarm instead.
-func (e *Emulator) RunHooked(maxInstructions uint64, hook func(pc uint64, ins *isa.Instruction)) (uint64, error) {
-	return e.runObserved(maxInstructions, hook, false, nil)
-}
+// discardWarm is Run's warming sink.
+func discardWarm([]WarmEvent) {}
 
 // BranchTaken evaluates a conditional branch's predicate.
 func BranchTaken(op isa.Op, a, b uint64) bool {

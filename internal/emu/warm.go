@@ -6,9 +6,9 @@ import "spt/internal/isa"
 // information, emitted by RunWarm as the block engine executes. The
 // checkpoint walker replays batches of these into the memory hierarchy
 // and branch predictors; the stream is byte-identical — same events, same
-// order, same operand values — to what the per-instruction RunHooked
-// reference path produces, because every field is captured at the exact
-// point the reference hook would have read it.
+// order, same operand values — to what warmEventFor yields for each
+// instruction against its pre-execution state in a Step loop, because
+// every field is captured before the instruction executes.
 //
 // Kind selects the event class; Aux carries the class-specific operand:
 // the data address for loads and stores, the resolved (post-execution)
@@ -47,13 +47,14 @@ const warmBufCap = 4096
 // slice it receives is reused across calls and must not be retained.
 // It reports the number of instructions retired by this call.
 func (e *Emulator) RunWarm(maxInstructions uint64, flush func([]WarmEvent)) (uint64, error) {
-	return e.runObserved(maxInstructions, nil, true, flush)
+	return e.runBlocks(maxInstructions, flush)
 }
 
 // warmEventFor classifies the instruction at pc against the current
 // (pre-execution) architectural state — the per-instruction mirror of the
 // event emission inlined in the block dispatch loop, used on the
-// budget-truncated tail path.
+// budget-truncated tail path and as the Step-side reference in the
+// engine's lockstep test.
 func warmEventFor(s *State, pc uint64, ins *isa.Instruction) WarmEvent {
 	ev := WarmEvent{PC: pc}
 	switch {

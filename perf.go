@@ -42,7 +42,8 @@ type PerfRow struct {
 // PerfReport is the simulator-throughput suite's result.
 type PerfReport struct {
 	// Engine is the EngineVersion that produced the report, so archived
-	// BENCH_*.json snapshots are distinguishable across code changes.
+	// reports are distinguishable across code changes. The benchmark's
+	// recorded numbers live in bench/README.md.
 	Engine string
 	Model  AttackModel
 	Budget uint64
