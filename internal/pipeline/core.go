@@ -730,18 +730,6 @@ func (c *Core) sqPopHead() {
 func (c *Core) ROBLen() int          { return c.robLen }
 func (c *Core) ROBAt(i int) *DynInst { return c.robAt(i) }
 
-// ROBWindow returns the in-flight window, oldest first, as the ring's two
-// contiguous segments (the second is empty until the ring wraps). Per-cycle
-// policy scans range over these directly, avoiding per-index ring
-// arithmetic; iterating older then younger visits exactly ROBAt(0..len-1).
-func (c *Core) ROBWindow() (older, younger []DynInst) {
-	end := c.robHead + c.robLen
-	if end <= len(c.rob) {
-		return c.rob[c.robHead:end], nil
-	}
-	return c.rob[c.robHead:], c.rob[:end-len(c.rob)]
-}
-
 // LQLen/LQAt and SQLen/SQAt expose the memory queues, oldest first.
 func (c *Core) LQLen() int          { return c.lqLen }
 func (c *Core) LQAt(i int) *DynInst { return c.lqAt(i) }
@@ -791,7 +779,9 @@ func (c *Core) sqWindowFrom(i int) (a, b []*DynInst) {
 }
 
 // LQWindow and SQWindow return the memory queues, oldest first, as their
-// two contiguous ring segments (see ROBWindow).
+// two contiguous ring segments (the second is empty until the ring wraps),
+// so per-cycle scans range over plain slices with no per-index ring
+// arithmetic.
 func (c *Core) LQWindow() (older, younger []*DynInst) {
 	end := c.lqHead + c.lqLen
 	if end <= len(c.lq) {

@@ -76,12 +76,3 @@ type Stats struct {
 	// because the STLPublic condition (§6.7) already held.
 	STLPublicHits uint64
 }
-
-// TotalUntaints sums register untaint events across kinds.
-func (s *Stats) TotalUntaints() uint64 {
-	var t uint64
-	for _, v := range s.Events {
-		t += v
-	}
-	return t
-}

@@ -2,6 +2,7 @@ package taint
 
 import (
 	"fmt"
+	"math/bits"
 
 	"spt/internal/isa"
 	"spt/internal/pipeline"
@@ -100,6 +101,12 @@ type SPT struct {
 	// instruction's sequence number for age-priority.
 	pendingVP []pendingUntaint
 
+	// win mirrors the ROB; hasCand marks the slots whose register rule
+	// yields a candidate, cached in cand at the slot's last evaluation.
+	win     window
+	hasCand []uint64
+	cand    []pendingUntaint
+
 	shadow *shadow
 
 	// retiredStoreData remembers the data-operand taint of retired stores
@@ -131,9 +138,6 @@ func NewSPT(cfg SPTConfig) *SPT {
 	return &SPT{cfg: cfg, retiredStoreData: make(map[uint64]bool)}
 }
 
-// Config returns the policy's configuration.
-func (s *SPT) Config() SPTConfig { return s.cfg }
-
 // Attach implements pipeline.Policy.
 func (s *SPT) Attach(c *pipeline.Core) {
 	s.core = c
@@ -149,14 +153,19 @@ func (s *SPT) Attach(c *pipeline.Core) {
 		c.Hier.L1D.OnFill = s.shadow.onFill
 		c.Hier.L1D.OnEvict = s.shadow.onEvict
 	}
+	if s.tracking() {
+		s.win = newWindow(c)
+		s.hasCand = make([]uint64, s.win.words)
+		s.cand = make([]pendingUntaint, c.Cfg.ROBSize)
+	}
 }
 
 // Tainted reports a physical register's taint (for tests).
-func (s *SPT) Tainted(p pipeline.PhysReg) bool {
-	if p == pipeline.NoReg {
-		return false
-	}
-	return s.taint[p]
+func (s *SPT) Tainted(p pipeline.PhysReg) bool { return tainted(s.taint, p) }
+
+// tainted reads a taint vector; the absent register is public.
+func tainted(taint []bool, p pipeline.PhysReg) bool {
+	return p != pipeline.NoReg && taint[p]
 }
 
 func (s *SPT) tracking() bool { return s.cfg.Method != UntaintNone }
@@ -164,7 +173,11 @@ func (s *SPT) tracking() bool { return s.cfg.Method != UntaintNone }
 // OnRename implements pipeline.Policy: compute the initial taint of the
 // instruction's output (§6.3, §6.5).
 func (s *SPT) OnRename(di *pipeline.DynInst) {
-	if !s.tracking() || di.Dst == pipeline.NoReg {
+	if !s.tracking() {
+		return
+	}
+	s.win.push(di)
+	if di.Dst == pipeline.NoReg {
 		return
 	}
 	switch {
@@ -222,6 +235,7 @@ func (s *SPT) OnSquash(di *pipeline.DynInst) {
 	if !s.tracking() {
 		return
 	}
+	clearBit(s.hasCand, s.win.popTail(di))
 	if di.Dst != pipeline.NoReg {
 		s.purgePending(di.Dst)
 	}
@@ -234,6 +248,7 @@ func (s *SPT) OnRetire(di *pipeline.DynInst) {
 	if !s.tracking() {
 		return
 	}
+	clearBit(s.hasCand, s.win.popHead(di))
 	if di.OldDst != pipeline.NoReg && di.Dst != pipeline.NoReg {
 		s.purgePending(di.OldDst)
 	}
@@ -292,6 +307,7 @@ func (s *SPT) OnLoadComplete(di *pipeline.DynInst) {
 		// Untainted bytes: the output becomes public. This rides the
 		// existing writeback broadcast, not the untaint broadcast.
 		s.taint[di.Dst] = false
+		s.win.touch(di.Dst)
 		s.Stats.Events[EvShadowLoad]++
 		s.cycleUntaints++
 	}
@@ -324,32 +340,10 @@ func (s *SPT) MayResolveCF(di *pipeline.DynInst) bool {
 // an implicit branch over the load's and the involved stores' addresses
 // (§6.7, footnote 4).
 func (s *SPT) MaySquashOnViolation(ld *pipeline.DynInst) bool {
-	if ld.AtVP {
-		return true
-	}
 	if !s.tracking() {
-		return false
+		return ld.AtVP
 	}
-	if s.Tainted(ld.Src1) {
-		return false
-	}
-	// The violating store is identified by value (the load's recorded seq
-	// and address operand): its ROB slot may already hold another
-	// instruction by the time the squash is permitted.
-	if ld.HasViolStore {
-		if s.Tainted(ld.ViolSrc1) {
-			return false
-		}
-		// All stores between the violating store and the load must also
-		// have public addresses.
-		for i := 0; i < s.core.SQLen(); i++ {
-			other := s.core.SQAt(i)
-			if other.Seq > ld.ViolStoreSeq && other.Seq < ld.Seq && other.AddrKnown && s.Tainted(other.Src1) {
-				return false
-			}
-		}
-	}
-	return true
+	return violationSquashPublic(s.taint, ld, storeQueue(s.core))
 }
 
 // cycleUntaints counts registers untainted in the current cycle for the
@@ -377,99 +371,101 @@ func (s *SPT) Tick() {
 		return
 	}
 	if s.cfg.Method == UntaintIdeal {
-		for {
-			n := s.commit(s.candidates(), 0)
-			if n == 0 {
-				break
-			}
+		for s.commit(s.candidates(), 0) > 0 {
 		}
-		s.recordCycle()
-		return
+	} else {
+		s.commit(s.candidates(), s.cfg.BroadcastWidth)
 	}
-	s.commit(s.candidates(), s.cfg.BroadcastWidth)
 	s.recordCycle()
 }
 
 // candidates gathers all registers the rules can untaint, evaluated
-// against the current taint state, in priority order. The returned slice
-// aliases a scratch buffer reused across cycles; it is only valid until the
-// next call.
+// against the current taint state: the pending VP declassifications, the
+// register-rule candidates of the in-flight window oldest first, then the
+// store-to-load forwarding candidates. Only slots marked dirty since their
+// last evaluation are re-evaluated (see window). The returned slice aliases
+// a scratch buffer reused across cycles; it is only valid until the next
+// call.
 func (s *SPT) candidates() []pendingUntaint {
+	s.evaluateDirty()
 	out := append(s.candBuf[:0], s.pendingVP...)
-
-	older, younger := s.core.ROBWindow()
-	out = s.ruleWindow(older, out)
-	out = s.ruleWindow(younger, out)
+	for _, seg := range [2][2]int{{s.win.head, len(s.win.slots)}, {0, s.win.head}} {
+		for slot := nextBit(s.hasCand, seg[0], seg[1]); slot >= 0; slot = nextBit(s.hasCand, slot+1, seg[1]) {
+			out = append(out, s.cand[slot])
+		}
+	}
 	out = s.stlfCandidates(out)
 	s.candBuf = out[:0]
 	return out
 }
 
-// ruleWindow applies the register rules to one ring segment of the
-// in-flight window, oldest first.
-func (s *SPT) ruleWindow(win []pipeline.DynInst, out []pendingUntaint) []pendingUntaint {
-	for i := range win {
-		di := &win[i]
-		// Every register rule needs a destination register: the forward
-		// rule untaints it, the backward rules require it untainted.
-		if di.Squashed || di.Dst == pipeline.NoReg {
-			continue
+// evaluateDirty re-applies the register rules to every dirty slot and
+// caches the result.
+func (s *SPT) evaluateDirty() {
+	for i, word := range s.win.dirty {
+		s.win.dirty[i] = 0
+		for ; word != 0; word &= word - 1 {
+			slot := i<<6 + bits.TrailingZeros64(word)
+			if c, ok := s.rule(s.win.slots[slot]); ok {
+				s.cand[slot] = c
+				setBit(s.hasCand, slot)
+			} else {
+				clearBit(s.hasCand, slot)
+			}
 		}
-		out = s.ruleCandidates(di, out)
 	}
-	return out
 }
 
-// ruleCandidates applies the forward and backward register rules to one
-// in-flight instruction (§6.6).
-func (s *SPT) ruleCandidates(di *pipeline.DynInst, out []pendingUntaint) []pendingUntaint {
-	// Forward: output of a register-to-register operation with all inputs
-	// untainted. Loads are excluded (output depends on memory, §6.6);
-	// rename-time public outputs are already untainted.
-	if di.Dst != pipeline.NoReg && !di.IsLd && s.taint[di.Dst] &&
-		!s.Tainted(di.Src1) && !s.Tainted(di.Src2) {
-		out = append(out, pendingUntaint{reg: di.Dst, seq: di.Seq, isDst: true, kind: EvForward})
-	}
-
-	if s.cfg.Method < UntaintBwd {
-		return out
-	}
-
-	// Backward rules require the instruction's output to be untainted.
-	if di.Dst == pipeline.NoReg || s.taint[di.Dst] {
-		return out
-	}
-	switch di.Ins.Op {
-	case isa.MOV:
-		if s.Tainted(di.Src1) {
-			out = append(out, pendingUntaint{reg: di.Src1, seq: di.Seq, kind: EvBackward})
+// rule applies the forward and backward register rules to one in-flight
+// instruction with a destination register (§6.6). At most one applies:
+// the forward rule needs the output tainted, the backward rules need it
+// untainted.
+func (s *SPT) rule(di *pipeline.DynInst) (pendingUntaint, bool) {
+	if s.taint[di.Dst] {
+		// Forward: output of a register-to-register operation with all
+		// inputs untainted. Loads are excluded (output depends on memory,
+		// §6.6); rename-time public outputs are already untainted.
+		if !di.IsLd && !s.Tainted(di.Src1) && !s.Tainted(di.Src2) {
+			return pendingUntaint{reg: di.Dst, seq: di.Seq, isDst: true, kind: EvForward}, true
 		}
-	case isa.ADDI, isa.XORI:
-		// Invertible with a public immediate.
+		return pendingUntaint{}, false
+	}
+	if s.cfg.Method < UntaintBwd {
+		return pendingUntaint{}, false
+	}
+	// Backward: the output is untainted.
+	src := pipeline.NoReg
+	switch di.Ins.Op {
+	case isa.MOV, isa.ADDI, isa.XORI:
+		// A copy, or invertible with a public immediate.
 		if s.Tainted(di.Src1) {
-			out = append(out, pendingUntaint{reg: di.Src1, seq: di.Seq, kind: EvBackward})
+			src = di.Src1
 		}
 	case isa.ADD, isa.SUB, isa.XOR:
 		// Invertible when all but one input is public.
 		t1, t2 := s.Tainted(di.Src1), s.Tainted(di.Src2)
 		if t1 && !t2 {
-			out = append(out, pendingUntaint{reg: di.Src1, seq: di.Seq, kind: EvBackward})
+			src = di.Src1
 		} else if t2 && !t1 {
-			out = append(out, pendingUntaint{reg: di.Src2, seq: di.Seq, kind: EvBackward})
+			src = di.Src2
 		}
 	}
-	return out
+	if src == pipeline.NoReg {
+		return pendingUntaint{}, false
+	}
+	return pendingUntaint{reg: src, seq: di.Seq, kind: EvBackward}, true
 }
 
 // stlfCandidates propagates untaint across store-to-load forwarding pairs
 // whose implicit branch has become public (§6.7).
 func (s *SPT) stlfCandidates(out []pendingUntaint) []pendingUntaint {
+	sq := storeQueue(s.core)
 	older, younger := s.core.LQWindow()
-	out = s.stlfWindow(older, out)
-	return s.stlfWindow(younger, out)
+	out = s.stlfWindow(older, sq, out)
+	return s.stlfWindow(younger, sq, out)
 }
 
-func (s *SPT) stlfWindow(win []*pipeline.DynInst, out []pendingUntaint) []pendingUntaint {
+func (s *SPT) stlfWindow(win []*pipeline.DynInst, sq [2][]*pipeline.DynInst, out []pendingUntaint) []pendingUntaint {
 	for _, ld := range win {
 		if ld.FwdStore == nil || !ld.Done || ld.Dst == pipeline.NoReg {
 			continue
@@ -481,7 +477,7 @@ func (s *SPT) stlfWindow(win []*pipeline.DynInst, out []pendingUntaint) []pendin
 		if ld.FwdLive() {
 			st = ld.FwdStore
 		}
-		if !s.stlPublic(ld.FwdSeq, st, ld) {
+		if !stlPublic(s.taint, ld.FwdSeq, st, ld, sq) {
 			continue
 		}
 		stData, stLive := s.storeDataTaint(ld.FwdSeq, st)
@@ -521,39 +517,12 @@ func (s *SPT) STLForwardPublic(st, ld *pipeline.DynInst) bool {
 		// SecureBaseline: both ends must be non-speculative.
 		public = ld.AtVP && (st.Retired || st.AtVP)
 	} else {
-		public = s.stlPublic(st.Seq, st, ld)
+		public = stlPublic(s.taint, st.Seq, st, ld, storeQueue(s.core))
 	}
 	if public {
 		s.Stats.STLPublicHits++
 	}
 	return public
-}
-
-// stlPublic evaluates the STLPublic(S, L) condition (§6.7): the load's
-// address is public and every store from S to L (exclusive) has a public
-// address, so the attacker already knows L reads its value from S. st is
-// nil when the store has retired (a retired store's address leaked
-// non-speculatively, so it needs no check of its own).
-func (s *SPT) stlPublic(stSeq uint64, st *pipeline.DynInst, ld *pipeline.DynInst) bool {
-	if s.Tainted(ld.Src1) && !ld.AtVP {
-		return false
-	}
-	if st != nil && s.Tainted(st.Src1) && !st.AtVP {
-		return false
-	}
-	for i := 0; i < s.core.SQLen(); i++ {
-		other := s.core.SQAt(i)
-		if other.Seq <= stSeq || other.Seq >= ld.Seq {
-			continue
-		}
-		if other.AtVP {
-			continue
-		}
-		if !other.AddrKnown || s.Tainted(other.Src1) {
-			return false
-		}
-	}
-	return true
 }
 
 // commit applies up to width untaints (0 = unbounded) in priority order:
@@ -580,6 +549,7 @@ func (s *SPT) commit(cands []pendingUntaint, width int) int {
 		}
 		seen[cu.reg] = true
 		s.taint[cu.reg] = false
+		s.win.touch(cu.reg)
 		s.Stats.Events[cu.kind]++
 		s.cycleUntaints++
 		applied++
@@ -646,6 +616,3 @@ func (s *SPT) String() string {
 	}
 	return fmt.Sprintf("SPT{%s,%s,w=%d}", s.cfg.Method, s.cfg.Shadow, s.cfg.BroadcastWidth)
 }
-
-// ShadowLines reports the number of lines with tracked taint (tests).
-func (s *SPT) ShadowLines() int { return s.shadow.trackedLines() }

@@ -18,6 +18,8 @@ type STT struct {
 	core *pipeline.Core
 	// sTaint is the per-physical-register speculative taint.
 	sTaint []bool
+	// win mirrors the ROB and marks the slots Tick must re-evaluate.
+	win window
 
 	Stats STTStats
 }
@@ -42,30 +44,33 @@ func NewSTT() *STT { return &STT{} }
 func (t *STT) Attach(c *pipeline.Core) {
 	t.core = c
 	t.sTaint = make([]bool, c.PhysRegCount())
+	t.win = newWindow(c)
 }
 
 // STainted reports a register's speculative taint (for tests).
-func (t *STT) STainted(p pipeline.PhysReg) bool {
-	if p == pipeline.NoReg {
+func (t *STT) STainted(p pipeline.PhysReg) bool { return tainted(t.sTaint, p) }
+
+// sTaintOf is STT's rule for an instruction's output: a load's is
+// s-tainted until the load reaches the VP; immediates and link addresses
+// are public; every other output is the OR of its inputs.
+func (t *STT) sTaintOf(di *pipeline.DynInst) bool {
+	switch {
+	case di.IsLd:
+		return !di.AtVP
+	case di.Ins.Op == isa.MOVI, di.Ins.Op == isa.JAL:
 		return false
 	}
-	return t.sTaint[p]
+	return t.STainted(di.Src1) || t.STainted(di.Src2)
 }
 
-// OnRename implements pipeline.Policy: load outputs are s-tainted until
-// the load reaches the VP; other outputs inherit the OR of their inputs.
+// OnRename implements pipeline.Policy: the output's s-taint starts at the
+// rule's value.
 func (t *STT) OnRename(di *pipeline.DynInst) {
+	t.win.push(di)
 	if di.Dst == pipeline.NoReg {
 		return
 	}
-	switch {
-	case di.IsLd:
-		t.sTaint[di.Dst] = true
-	case di.Ins.Op == isa.MOVI, di.Ins.Op == isa.JAL:
-		t.sTaint[di.Dst] = false
-	default:
-		t.sTaint[di.Dst] = t.STainted(di.Src1) || t.STainted(di.Src2)
-	}
+	t.sTaint[di.Dst] = t.sTaintOf(di)
 	if t.sTaint[di.Dst] {
 		t.Stats.TaintedAtRename++
 	}
@@ -73,17 +78,22 @@ func (t *STT) OnRename(di *pipeline.DynInst) {
 
 // OnSquash implements pipeline.Policy.
 func (t *STT) OnSquash(di *pipeline.DynInst) {
+	t.win.popTail(di)
 	if di.Dst != pipeline.NoReg {
 		t.sTaint[di.Dst] = false
 	}
 }
 
 // OnRetire implements pipeline.Policy.
-func (t *STT) OnRetire(*pipeline.DynInst) {}
+func (t *STT) OnRetire(di *pipeline.DynInst) { t.win.popHead(di) }
 
-// OnVP implements pipeline.Policy. The recompute in Tick performs the
-// transitive untaint; nothing to do here.
-func (t *STT) OnVP(*pipeline.DynInst) {}
+// OnVP implements pipeline.Policy: a load reaching the VP changes its
+// rule's input, so its slot (and its consumers) are due for Tick.
+func (t *STT) OnVP(di *pipeline.DynInst) {
+	if di.IsLd && di.Dst != pipeline.NoReg {
+		t.win.touch(di.Dst)
+	}
+}
 
 // OnLoadComplete implements pipeline.Policy. A completing load's output
 // keeps its s-taint until the load reaches the VP.
@@ -105,81 +115,42 @@ func (t *STT) MayResolveCF(di *pipeline.DynInst) bool {
 // MaySquashOnViolation implements pipeline.Policy: the violation squash is
 // an implicit branch over the involved addresses.
 func (t *STT) MaySquashOnViolation(ld *pipeline.DynInst) bool {
-	if ld.AtVP {
-		return true
-	}
-	if t.STainted(ld.Src1) {
-		return false
-	}
-	// The violating store is identified by value: its ROB slot may already
-	// hold another instruction by the time the squash is permitted.
-	if ld.HasViolStore {
-		if t.STainted(ld.ViolSrc1) {
-			return false
-		}
-		for i := 0; i < t.core.SQLen(); i++ {
-			other := t.core.SQAt(i)
-			if other.Seq > ld.ViolStoreSeq && other.Seq < ld.Seq && other.AddrKnown && t.STainted(other.Src1) {
-				return false
-			}
-		}
-	}
-	return true
+	return violationSquashPublic(t.sTaint, ld, storeQueue(t.core))
 }
 
 // STLForwardPublic implements pipeline.STLQuery: the forwarding decision
 // is public when the load's and all involved stores' addresses are
 // s-untainted (STT's store-to-load forwarding exception).
 func (t *STT) STLForwardPublic(st, ld *pipeline.DynInst) bool {
-	if t.STainted(ld.Src1) && !ld.AtVP {
-		return false
+	live := st
+	if st.Retired {
+		live = nil
 	}
-	if !st.Retired && t.STainted(st.Src1) && !st.AtVP {
+	if !stlPublic(t.sTaint, st.Seq, live, ld, storeQueue(t.core)) {
 		return false
-	}
-	for i := 0; i < t.core.SQLen(); i++ {
-		other := t.core.SQAt(i)
-		if other.Seq <= st.Seq || other.Seq >= ld.Seq || other.AtVP {
-			continue
-		}
-		if !other.AddrKnown || t.STainted(other.Src1) {
-			return false
-		}
 	}
 	t.Stats.STLPublicHits++
 	return true
 }
 
-// Tick implements pipeline.Policy: STT's single-cycle transitive untaint.
-// A full recompute over the in-flight window (oldest first) reproduces the
-// paper's fast untaint hardware: a load's output is s-tainted iff the load
-// has not reached the VP; every other output is the OR of its inputs.
+// Tick implements pipeline.Policy: STT's single-cycle transitive untaint,
+// the paper's fast untaint hardware. It sweeps the slots whose rule inputs
+// changed since the last cycle (new slots, loads that reached the VP,
+// consumers of registers whose s-taint changed) oldest first, applying
+// sTaintOf. Every consumer is younger than its producer, so a consumer
+// dirtied by the sweep is still ahead of it, and one sweep reaches the
+// transitive closure.
 func (t *STT) Tick() {
-	older, younger := t.core.ROBWindow()
-	t.tickWindow(older)
-	t.tickWindow(younger)
-}
-
-func (t *STT) tickWindow(win []pipeline.DynInst) {
-	for i := range win {
-		di := &win[i]
-		if di.Dst == pipeline.NoReg || di.Squashed {
-			continue
+	for slot := t.win.oldest(t.win.dirty); slot >= 0; slot = t.win.oldest(t.win.dirty) {
+		di := t.win.slots[slot]
+		if want := t.sTaintOf(di); want != t.sTaint[di.Dst] {
+			if !want {
+				t.Stats.Untaints++
+			}
+			t.sTaint[di.Dst] = want
+			t.win.touch(di.Dst)
 		}
-		var want bool
-		op := di.Ins.Op
-		switch {
-		case di.IsLd:
-			want = !di.AtVP
-		case op == isa.MOVI, op == isa.JAL:
-			want = false
-		default:
-			want = t.STainted(di.Src1) || t.STainted(di.Src2)
-		}
-		if t.sTaint[di.Dst] && !want {
-			t.Stats.Untaints++
-		}
-		t.sTaint[di.Dst] = want
+		clearBit(t.win.dirty, slot)
 	}
 }
 

@@ -8,8 +8,8 @@ import (
 
 // PerfSchemes is the scheme subset the simulator-throughput suite measures.
 // The three points span the simulator's cost range: the unprotected machine
-// (no policy), STT (per-cycle recompute over the window), and full SPT
-// (rule evaluation plus shadow-L1 bookkeeping every cycle).
+// (no policy), STT (transitive untaint), and full SPT (untaint rules, the
+// bounded broadcast and shadow-L1 bookkeeping).
 func PerfSchemes() []Scheme { return []Scheme{UnsafeBaseline, STT, SPTFull} }
 
 // PerfRow is one (workload, scheme) throughput measurement. The simulated

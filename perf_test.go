@@ -13,9 +13,9 @@ import (
 )
 
 // BenchmarkCoreThroughput measures raw simulation speed for the three
-// schemes spanning the simulator's cost range (no policy, STT's per-cycle
-// recompute, full SPT). Reported metrics: simulated MIPS and host
-// nanoseconds per simulated instruction.
+// schemes spanning the simulator's cost range (no policy, STT's transitive
+// untaint, full SPT with its bounded untaint broadcast). Reported metrics:
+// simulated MIPS and host nanoseconds per simulated instruction.
 func BenchmarkCoreThroughput(b *testing.B) {
 	for _, scheme := range spt.PerfSchemes() {
 		b.Run(string(scheme), func(b *testing.B) {
