@@ -60,13 +60,23 @@ type CacheStats struct {
 }
 
 // Cache is a set-associative cache with true-LRU replacement.
+//
+// A set gets its ways on the first Fill into it. end[s] is one past the
+// last of set s's ways in lines (0 = never filled, which every lookup
+// reads as an empty set), and lines grows by one block of Ways lines per
+// first fill, in first-fill order. Every simulation builds a fresh
+// hierarchy and a short one touches a few dozen lines, so allocating the
+// Table-1 hierarchy's 915 KB of line metadata up front would dominate its
+// cost. A set's block never moves within lines, so a (set, way) pair
+// stays valid across later fills.
 type Cache struct {
 	cfg       CacheConfig
 	sets      int
 	lineShift uint
 	setShift  uint // log2(sets); tags are (addr >> lineShift) >> setShift
 	setMask   uint64
-	lines     []line // sets*ways, row-major by set
+	end       []int32
+	lines     []line
 	stamp     uint64
 	stats     CacheStats
 
@@ -90,7 +100,7 @@ func NewCache(cfg CacheConfig) *Cache {
 		cfg:     cfg,
 		sets:    sets,
 		setMask: uint64(sets - 1),
-		lines:   make([]line, sets*cfg.Ways),
+		end:     make([]int32, sets),
 	}
 	for s := cfg.LineBytes; s > 1; s >>= 1 {
 		c.lineShift++
@@ -121,7 +131,31 @@ func (c *Cache) tagOf(addr uint64) uint64 {
 	return (addr >> c.lineShift) >> c.setShift
 }
 
-func (c *Cache) slot(set, way int) *line { return &c.lines[set*c.cfg.Ways+way] }
+// ways returns set's lines, or nil if the set has never been filled.
+func (c *Cache) ways(set int) []line {
+	e := int(c.end[set])
+	if e == 0 {
+		return nil
+	}
+	return c.lines[e-c.cfg.Ways : e : e]
+}
+
+// allocate gives a never-filled set its ways, all Invalid. A full arena
+// doubles, capped at every set's ways, so a run that fills every set
+// copies about as many lines as it keeps (append grows a large slice by
+// a quarter at a time). lines never shrinks, so its spare capacity is
+// still zero.
+func (c *Cache) allocate(set int) []line {
+	n, w := len(c.lines), c.cfg.Ways
+	if n+w > cap(c.lines) {
+		grown := make([]line, n, min(2*n+w, c.sets*w))
+		copy(grown, c.lines)
+		c.lines = grown
+	}
+	c.lines = c.lines[:n+w]
+	c.end[set] = int32(n + w)
+	return c.lines[n:]
+}
 
 // locate returns the set and way holding addr's line, without updating
 // LRU or statistics — the lookup half of Access, used to pin a (set, way)
@@ -129,9 +163,9 @@ func (c *Cache) slot(set, way int) *line { return &c.lines[set*c.cfg.Ways+way] }
 func (c *Cache) locate(addr uint64) (set, way int, ok bool) {
 	set = c.setOf(addr)
 	tag := c.tagOf(addr)
-	for w := 0; w < c.cfg.Ways; w++ {
-		l := c.slot(set, w)
-		if l.state != Invalid && l.tag == tag {
+	ls := c.ways(set)
+	for w := range ls {
+		if ls[w].state != Invalid && ls[w].tag == tag {
 			return set, w, true
 		}
 	}
@@ -147,7 +181,8 @@ func (c *Cache) touch(set, way int) {
 	c.stamp++
 	c.stats.Accesses++
 	c.stats.Hits++
-	c.slot(set, way).lru = c.stamp
+	// (set, way) holds a line, so the set has its ways: skip ways' check.
+	c.lines[int(c.end[set])-c.cfg.Ways+way].lru = c.stamp
 }
 
 // Probe reports whether addr's line is present, without updating LRU or
@@ -156,7 +191,7 @@ func (c *Cache) touch(set, way int) {
 func (c *Cache) Probe(addr uint64) (MESI, bool) {
 	set := c.setOf(addr)
 	tag := c.tagOf(addr)
-	ls := c.lines[set*c.cfg.Ways : (set+1)*c.cfg.Ways]
+	ls := c.ways(set)
 	for w := range ls {
 		if ls[w].state != Invalid && ls[w].tag == tag {
 			return ls[w].state, true
@@ -173,7 +208,7 @@ func (c *Cache) Access(addr uint64, write bool) bool {
 	c.stats.Accesses++
 	set := c.setOf(addr)
 	tag := c.tagOf(addr)
-	ls := c.lines[set*c.cfg.Ways : (set+1)*c.cfg.Ways]
+	ls := c.ways(set)
 	for w := range ls {
 		l := &ls[w]
 		if l.state != Invalid && l.tag == tag {
@@ -196,10 +231,14 @@ func (c *Cache) Fill(addr uint64, state MESI) (victimAddr uint64, writeback bool
 	c.stamp++
 	set := c.setOf(addr)
 	tag := c.tagOf(addr)
+	ls := c.ways(set)
+	if ls == nil {
+		ls = c.allocate(set)
+	}
 	// If the line is already resident, update its state in place; a cache
 	// never holds two copies of one line.
-	for w := 0; w < c.cfg.Ways; w++ {
-		l := c.slot(set, w)
+	for w := range ls {
+		l := &ls[w]
 		if l.state != Invalid && l.tag == tag {
 			l.state = state
 			l.lru = c.stamp
@@ -207,17 +246,16 @@ func (c *Cache) Fill(addr uint64, state MESI) (victimAddr uint64, writeback bool
 		}
 	}
 	victim := 0
-	for w := 0; w < c.cfg.Ways; w++ {
-		l := c.slot(set, w)
-		if l.state == Invalid {
+	for w := range ls {
+		if ls[w].state == Invalid {
 			victim = w
 			break
 		}
-		if l.lru < c.slot(set, victim).lru {
+		if ls[w].lru < ls[victim].lru {
 			victim = w
 		}
 	}
-	v := c.slot(set, victim)
+	v := &ls[victim]
 	if v.state != Invalid {
 		victimAddr = c.reconstructAddr(set, v.tag)
 		writeback = v.state == Modified
@@ -240,8 +278,9 @@ func (c *Cache) Fill(addr uint64, state MESI) (victimAddr uint64, writeback bool
 func (c *Cache) Invalidate(addr uint64) (wasDirty bool, wasPresent bool) {
 	set := c.setOf(addr)
 	tag := c.tagOf(addr)
-	for w := 0; w < c.cfg.Ways; w++ {
-		l := c.slot(set, w)
+	ls := c.ways(set)
+	for w := range ls {
+		l := &ls[w]
 		if l.state != Invalid && l.tag == tag {
 			wasDirty = l.state == Modified
 			l.state = Invalid
@@ -259,8 +298,9 @@ func (c *Cache) Invalidate(addr uint64) (wasDirty bool, wasPresent bool) {
 func (c *Cache) Downgrade(addr uint64) (wasDirty bool) {
 	set := c.setOf(addr)
 	tag := c.tagOf(addr)
-	for w := 0; w < c.cfg.Ways; w++ {
-		l := c.slot(set, w)
+	ls := c.ways(set)
+	for w := range ls {
+		l := &ls[w]
 		if l.state != Invalid && l.tag == tag {
 			wasDirty = l.state == Modified
 			l.state = Shared
@@ -275,12 +315,16 @@ func (c *Cache) reconstructAddr(set int, tag uint64) uint64 {
 }
 
 // FlushAll invalidates every line (used between penetration-test phases).
+// It walks the sets in index order, not the lines in first-fill order, so
+// OnEvict sees the lines in set-then-way order. Sets keep their ways.
 func (c *Cache) FlushAll() {
-	for i := range c.lines {
-		if c.lines[i].state != Invalid && c.OnEvict != nil {
-			set := i / c.cfg.Ways
-			c.OnEvict(c.reconstructAddr(set, c.lines[i].tag))
+	for set := range c.end {
+		ls := c.ways(set)
+		for w := range ls {
+			if ls[w].state != Invalid && c.OnEvict != nil {
+				c.OnEvict(c.reconstructAddr(set, ls[w].tag))
+			}
+			ls[w] = line{}
 		}
-		c.lines[i] = line{}
 	}
 }

@@ -1,22 +1,22 @@
 package mem
 
-// Clone returns a deep copy of the cache: geometry, line metadata, LRU
-// stamps, and counters. The OnFill/OnEvict hooks are deliberately NOT
-// copied — they are per-attachment state (the shadow L1 installs them when
-// a policy attaches to a core), not part of the warmable contents.
+// Clone returns a deep copy of the cache: geometry, the set index and
+// line metadata, LRU stamps, and counters. The OnFill/OnEvict hooks are
+// deliberately NOT copied — they are per-attachment state (the shadow L1
+// installs them when a policy attaches to a core), not part of the
+// warmable contents.
 func (c *Cache) Clone() *Cache {
-	out := &Cache{
+	return &Cache{
 		cfg:       c.cfg,
 		sets:      c.sets,
 		lineShift: c.lineShift,
 		setShift:  c.setShift,
 		setMask:   c.setMask,
-		lines:     make([]line, len(c.lines)),
+		end:       append([]int32(nil), c.end...),
+		lines:     append([]line(nil), c.lines...),
 		stamp:     c.stamp,
 		stats:     c.stats,
 	}
-	copy(out.lines, c.lines)
-	return out
 }
 
 // ResetStats zeroes the counters without touching line state, so a warmed

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -308,6 +309,31 @@ func TestHierarchyFlushAll(t *testing.T) {
 	}
 	if h.OutstandingMisses(0) != 0 {
 		t.Fatal("MSHRs survived flush")
+	}
+}
+
+var hierSink *Hierarchy
+
+// TestNewHierarchyAllocBytes pins the construction cost of the Table-1
+// hierarchy. Caches allocate a set's ways on its first fill, so a build
+// allocates only the per-set indexes and the TLB, about 15 KB. Every
+// set's ways allocated up front would be 914,792 B per build, which
+// dominates the host time of a run that simulates a few thousand
+// instructions.
+func TestNewHierarchyAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates; run without -race")
+	}
+	const builds = 100
+	cfg := DefaultHierarchyConfig()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < builds; i++ {
+		hierSink = NewHierarchy(cfg)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / builds; per >= 64<<10 {
+		t.Fatalf("NewHierarchy(DefaultHierarchyConfig()) allocates %d B per build, want under %d", per, 64<<10)
 	}
 }
 

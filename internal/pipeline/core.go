@@ -98,8 +98,9 @@ func DefaultConfig() Config {
 
 // Validate rejects impossible configurations.
 func (c Config) Validate() error {
-	if c.PhysRegs < isa.NumRegs+c.ROBSize/2 {
-		return fmt.Errorf("pipeline: %d physical registers cannot cover %d architectural + in-flight", c.PhysRegs, isa.NumRegs)
+	if need := isa.NumRegs + c.ROBSize/2; c.PhysRegs < need {
+		return fmt.Errorf("pipeline: %d physical registers cannot cover %d architectural + %d in-flight; need at least %d",
+			c.PhysRegs, isa.NumRegs, c.ROBSize/2, need)
 	}
 	if c.ROBSize <= 0 || c.RSSize <= 0 || c.LQSize <= 0 || c.SQSize <= 0 {
 		return fmt.Errorf("pipeline: queue sizes must be positive")

@@ -268,6 +268,18 @@ func TestConfigValidate(t *testing.T) {
 	if _, err := pipeline.New(bad, asm.MustAssemble("x", "halt"), mem.NewHierarchy(mem.DefaultHierarchyConfig()), nil); err == nil {
 		t.Fatal("accepted impossible config")
 	}
+	// The limit is the 32 architectural registers plus half the ROB.
+	short := pipeline.DefaultConfig()
+	short.ROBSize = 192
+	short.PhysRegs = 127
+	const want = "pipeline: 127 physical registers cannot cover 32 architectural + 96 in-flight; need at least 128"
+	if err := short.Validate(); err == nil || err.Error() != want {
+		t.Fatalf("Validate() = %v, want %q", err, want)
+	}
+	short.PhysRegs++
+	if err := short.Validate(); err != nil {
+		t.Fatalf("Validate() at the minimum: %v", err)
+	}
 	bad2 := pipeline.DefaultConfig()
 	bad2.ROBSize = 0
 	if err := bad2.Validate(); err == nil {

@@ -198,6 +198,27 @@ type errBudget struct{}
 
 func (errBudget) Error() string { return "symx: work budget exhausted" }
 
+// image is a program's initial data memory as byte terms. One Verify or
+// ObservationEvents call builds it once and shares it, read-only, with
+// every machine the call runs: the symbolic pass, confirm's two replays,
+// and all the enumeration replays of the secret domain. No machine writes
+// it; each keeps its secret bytes and its own stores in a private map.
+type image map[uint64]*Term
+
+func newImage(prog *isa.Program) image {
+	n := 0
+	for _, seg := range prog.Data {
+		n += len(seg.Bytes)
+	}
+	img := make(image, n)
+	for _, seg := range prog.Data {
+		for i, b := range seg.Bytes {
+			img[seg.Addr+uint64(i)] = Const(uint64(b))
+		}
+	}
+	return img
+}
+
 // machine executes one program under the relational speculative
 // semantics. The same code path serves the symbolic pass (secret bytes
 // are kSecret leaves) and the enumeration fallback (secret bytes are
@@ -214,8 +235,11 @@ type machine struct {
 	ctx    *termCtx
 	budget *int64
 
-	regs   [isa.NumRegs]*Term
+	regs [isa.NumRegs]*Term
+	// mem holds the secret bytes and this machine's architectural stores;
+	// a byte absent here reads from img, the shared program image.
 	mem    map[uint64]*Term
+	img    image
 	ras    []uint64
 	trace  []Event
 	digest uint64 // FNV-1a over the architectural execution, as in fuzz.archDigest
@@ -223,18 +247,13 @@ type machine struct {
 
 var zeroTerm = Const(0)
 
-// newMachine loads the program image. secret == nil runs symbolically;
-// otherwise the given concrete secret bytes are patched in.
-func newMachine(prog *isa.Program, pol policy, cfg Config, ctx *termCtx, budget *int64, secret []byte) *machine {
+// newMachine starts prog on its data image img. secret == nil runs
+// symbolically; otherwise the given concrete secret bytes are patched in.
+func newMachine(prog *isa.Program, img image, pol policy, cfg Config, ctx *termCtx, budget *int64, secret []byte) *machine {
 	m := &machine{prog: prog, pol: pol, cfg: cfg, ctx: ctx, budget: budget,
-		mem: make(map[uint64]*Term, 4096), digest: 14695981039346656037}
+		mem: map[uint64]*Term{}, img: img, digest: 14695981039346656037}
 	for i := range m.regs {
 		m.regs[i] = zeroTerm
-	}
-	for _, seg := range prog.Data {
-		for i, b := range seg.Bytes {
-			m.mem[seg.Addr+uint64(i)] = Const(uint64(b))
-		}
 	}
 	for i := 0; i < cfg.Secret.Size; i++ {
 		a := cfg.Secret.Addr + uint64(i)
@@ -260,7 +279,8 @@ func (m *machine) spend() error {
 	return nil
 }
 
-// memByte reads one byte term, preferring an episode overlay.
+// memByte reads one byte term: an episode overlay first, then the
+// machine's own bytes, then the program image.
 func (m *machine) memByte(overlay map[uint64]*Term, a uint64) *Term {
 	if overlay != nil {
 		if t, ok := overlay[a]; ok {
@@ -268,6 +288,9 @@ func (m *machine) memByte(overlay map[uint64]*Term, a uint64) *Term {
 		}
 	}
 	if t, ok := m.mem[a]; ok {
+		return t
+	}
+	if t, ok := m.img[a]; ok {
 		return t
 	}
 	return zeroTerm

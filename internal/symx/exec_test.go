@@ -2,6 +2,7 @@ package symx
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"spt/internal/emu"
@@ -171,6 +172,86 @@ func TestEnumerationFallback(t *testing.T) {
 	}
 }
 
+// TestImageSharedReadOnly pins that the data image one Verify call
+// shares among all its machines stays read-only. The gadget overwrites
+// its own data byte D architecturally and on two transient paths (the
+// store-bypass window, which sees the stale D and falls into the gadget,
+// and the mispredicted fall-through of the guard), reloads D on each,
+// and turns every load of D into a line address. Its bypass window also
+// branches on the secret, so the verdict needs the enumeration fallback:
+// 256 replays on one image. A store reaching the image would show in the
+// next replay's first load of D.
+func TestImageSharedReadOnly(t *testing.T) {
+	const dAddr = 0x2040
+	p := &isa.Program{
+		Name: "self-overwrite",
+		Code: []isa.Instruction{
+			ins(isa.LDB, 2, isa.Zero, 0, dAddr), // D is 3 in the image
+			ins(isa.SHLI, 2, 2, 0, 6),
+			ins(isa.LD, 3, 2, 0, 0x3000),
+			ins(isa.MOVI, 4, 0, 0, 7),
+			ins(isa.STB, 0, isa.Zero, 4, dAddr), // D = 7; the bypass window sees 3
+			ins(isa.LDB, 5, isa.Zero, 0, dAddr),
+			ins(isa.MOVI, 6, 0, 0, 7),
+			ins(isa.BEQ, 0, 5, 6, 9), // arch: taken to 16; transient: falls through
+			ins(isa.MOVI, 7, 0, 0, 9),
+			ins(isa.STB, 0, isa.Zero, 7, dAddr), // transient D = 9
+			ins(isa.LDB, 8, isa.Zero, 0, dAddr),
+			ins(isa.SHLI, 8, 8, 0, 6),
+			ins(isa.LD, 9, 8, 0, 0x3000),
+			ins(isa.LDB, 10, isa.Zero, 0, testSecretAddr),
+			ins(isa.BNE, 0, 10, 0, 2), // in the bypass window: direction IS the secret
+			ins(isa.NOP, 0, 0, 0, 0),
+			ins(isa.LDB, 11, isa.Zero, 0, dAddr), // arch reload: 7
+			ins(isa.SHLI, 11, 11, 0, 6),
+			ins(isa.LD, 12, 11, 0, 0x3000),
+			ins(isa.HALT, 0, 0, 0, 0),
+		},
+		Data: []isa.Segment{
+			{Addr: testSecretAddr, Bytes: []byte{0x5A}},
+			{Addr: dAddr, Bytes: []byte{3}},
+		},
+	}
+	cfg := testCfg().withDefaults()
+	pol, err := policyFor("unsafe", "futuristic")
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := newImage(p)
+	res, err := verify(p, img, pol, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Method != "enumeration" {
+		t.Fatalf("verdict %v via %s (%s), want the enumeration fallback", res.Verdict, res.Method, res.Reason)
+	}
+	if !reflect.DeepEqual(img, newImage(p)) {
+		t.Fatalf("image after Verify differs from a fresh one: D = %v", img[dAddr])
+	}
+	budget := cfg.MaxWork
+	traces, _, err := replayDomain(p, img, pol, cfg, &budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, got := range traces {
+		secret := domainSecret(i, cfg.Secret.Size)
+		fresh, err := ObservationEvents(p, "unsafe", "futuristic", cfg, secret)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]cEvent, len(fresh))
+		for k, ev := range fresh {
+			want[k] = cEvent{Kind: ev.Kind, Addr: mustConst(t, ev.Addr)}
+		}
+		if d := diffTraces(got, want); d != "" {
+			t.Fatalf("secret %#x: enumeration replay differs from a fresh run: %s", secret, d)
+		}
+	}
+	if !reflect.DeepEqual(img, newImage(p)) {
+		t.Fatalf("image after the replays differs from a fresh one: D = %v", img[dAddr])
+	}
+}
+
 // TestArchLeakRejected pins the contract: programs whose architectural
 // execution depends on the secret are errors, not leak verdicts, exactly
 // like the differential oracle's arch-sameness precheck.
@@ -235,7 +316,7 @@ func TestArchEquivalence(t *testing.T) {
 		}
 	}
 	budget := int64(1 << 20)
-	m := newMachine(p, policy{}, testCfg().withDefaults(), nil, &budget, []byte{0x5A})
+	m := newMachine(p, newImage(p), policy{}, testCfg().withDefaults(), nil, &budget, []byte{0x5A})
 	if err := m.run(); err != nil {
 		t.Fatal(err)
 	}

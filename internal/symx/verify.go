@@ -78,13 +78,19 @@ func Verify(prog *isa.Program, scheme, model string, cfg Config) (Result, error)
 	if err := prog.Validate(); err != nil {
 		return Result{}, err
 	}
+	return verify(prog, newImage(prog), pol, cfg)
+}
+
+// verify is Verify on a validated program, with its data image img shared
+// by every machine the verdict needs.
+func verify(prog *isa.Program, img image, pol policy, cfg Config) (Result, error) {
 	budget := cfg.MaxWork
 	var ctx *termCtx
 	if cfg.Secret.Size <= maxEnumBytes {
 		ctx = newTermCtx(cfg.Secret.Size)
 	}
 
-	m := newMachine(prog, pol, cfg, ctx, &budget, nil)
+	m := newMachine(prog, img, pol, cfg, ctx, &budget, nil)
 	switch err := m.run(); err.(type) {
 	case nil:
 		return classify(m, prog, pol, cfg, ctx, &budget)
@@ -93,7 +99,7 @@ func Verify(prog *isa.Program, scheme, model string, cfg Config) (Result, error)
 			return Result{Verdict: VerdictUnknown, Method: "symbolic",
 				Reason: fmt.Sprintf("%v and the %d-byte secret domain is too wide to enumerate", err, cfg.Secret.Size)}, nil
 		}
-		return enumerate(prog, pol, cfg, &budget)
+		return enumerate(prog, img, pol, cfg, &budget)
 	case errBudget:
 		return Result{Verdict: VerdictUnknown, Method: "symbolic", Reason: err.Error()}, nil
 	default:
@@ -121,7 +127,7 @@ func ObservationEvents(prog *isa.Program, scheme, model string, cfg Config, secr
 	if secret == nil && cfg.Secret.Size <= maxEnumBytes {
 		ctx = newTermCtx(cfg.Secret.Size)
 	}
-	m := newMachine(prog, pol, cfg, ctx, &budget, secret)
+	m := newMachine(prog, newImage(prog), pol, cfg, ctx, &budget, secret)
 	if err := m.run(); err != nil {
 		return nil, err
 	}
@@ -142,7 +148,7 @@ func classify(m *machine, prog *isa.Program, pol policy, cfg Config, ctx *termCt
 					i, ev.Kind, ev.PC, cfg.Secret.Size)}, nil
 		}
 		wa, wb, _ := ctx.witnessPair(ev.Addr)
-		wit, err := confirm(prog, pol, cfg, budget, wa, wb)
+		wit, err := confirm(prog, m.img, pol, cfg, budget, wa, wb)
 		if err != nil {
 			return Result{}, err
 		}
@@ -159,10 +165,10 @@ func classify(m *machine, prog *isa.Program, pol policy, cfg Config, ctx *termCt
 	return Result{Verdict: VerdictSecure, Method: "symbolic", Events: len(m.trace)}, nil
 }
 
-// concreteTrace replays prog with a concrete secret and returns the
-// observation trace and the architectural digest.
-func concreteTrace(prog *isa.Program, pol policy, cfg Config, budget *int64, secret []byte) ([]cEvent, uint64, error) {
-	m := newMachine(prog, pol, cfg, nil, budget, secret)
+// concreteTrace replays prog on its image with a concrete secret and
+// returns the observation trace and the architectural digest.
+func concreteTrace(prog *isa.Program, img image, pol policy, cfg Config, budget *int64, secret []byte) ([]cEvent, uint64, error) {
+	m := newMachine(prog, img, pol, cfg, nil, budget, secret)
 	if err := m.run(); err != nil {
 		return nil, 0, err
 	}
@@ -175,12 +181,12 @@ func concreteTrace(prog *isa.Program, pol policy, cfg Config, budget *int64, sec
 
 // confirm replays a candidate witness pair concretely; nil means the
 // traces did not diverge.
-func confirm(prog *isa.Program, pol policy, cfg Config, budget *int64, sa, sb []byte) (*Witness, error) {
-	ta, _, err := concreteTrace(prog, pol, cfg, budget, sa)
+func confirm(prog *isa.Program, img image, pol policy, cfg Config, budget *int64, sa, sb []byte) (*Witness, error) {
+	ta, _, err := concreteTrace(prog, img, pol, cfg, budget, sa)
 	if err != nil {
 		return nil, fmt.Errorf("symx: witness replay secret=%#x: %w", sa, err)
 	}
-	tb, _, err := concreteTrace(prog, pol, cfg, budget, sb)
+	tb, _, err := concreteTrace(prog, img, pol, cfg, budget, sb)
 	if err != nil {
 		return nil, fmt.Errorf("symx: witness replay secret=%#x: %w", sb, err)
 	}
@@ -218,22 +224,15 @@ func diffTraces(a, b []cEvent) string {
 // whole secret domain: exact, and immune to the path-explosion case that
 // aborted the symbolic pass (a transient decision that itself depends on
 // the secret).
-func enumerate(prog *isa.Program, pol policy, cfg Config, budget *int64) (Result, error) {
-	size := 1 << (8 * cfg.Secret.Size)
-	traces := make([][]cEvent, size)
-	digests := make([]uint64, size)
-	for i := 0; i < size; i++ {
-		s := domainSecret(i, cfg.Secret.Size)
-		tr, dg, err := concreteTrace(prog, pol, cfg, budget, s)
-		if err != nil {
-			if _, ok := err.(errBudget); ok {
-				return Result{Verdict: VerdictUnknown, Method: "enumeration", Reason: err.Error()}, nil
-			}
-			return Result{}, fmt.Errorf("symx: %s secret=%#x: %w", prog.Name, s, err)
-		}
-		traces[i] = tr
-		digests[i] = dg
+func enumerate(prog *isa.Program, img image, pol policy, cfg Config, budget *int64) (Result, error) {
+	traces, digests, err := replayDomain(prog, img, pol, cfg, budget)
+	if _, ok := err.(errBudget); ok {
+		return Result{Verdict: VerdictUnknown, Method: "enumeration", Reason: err.Error()}, nil
 	}
+	if err != nil {
+		return Result{}, err
+	}
+	size := len(traces)
 	for i := 1; i < size; i++ {
 		if digests[i] != digests[0] {
 			return Result{}, ErrArchLeak{What: "execution",
@@ -249,4 +248,26 @@ func enumerate(prog *isa.Program, pol policy, cfg Config, budget *int64) (Result
 		}
 	}
 	return Result{Verdict: VerdictSecure, Method: "enumeration", Events: len(traces[0])}, nil
+}
+
+// replayDomain replays prog concretely at every point of the secret
+// domain, in domain order, every replay on the one shared image. It
+// returns errBudget bare when the work bound runs out.
+func replayDomain(prog *isa.Program, img image, pol policy, cfg Config, budget *int64) ([][]cEvent, []uint64, error) {
+	size := 1 << (8 * cfg.Secret.Size)
+	traces := make([][]cEvent, size)
+	digests := make([]uint64, size)
+	for i := 0; i < size; i++ {
+		s := domainSecret(i, cfg.Secret.Size)
+		tr, dg, err := concreteTrace(prog, img, pol, cfg, budget, s)
+		if _, ok := err.(errBudget); ok {
+			return nil, nil, err
+		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("symx: %s secret=%#x: %w", prog.Name, s, err)
+		}
+		traces[i] = tr
+		digests[i] = dg
+	}
+	return traces, digests, nil
 }
