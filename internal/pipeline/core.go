@@ -204,6 +204,10 @@ type DynInst struct {
 	// delayCycles counts the cycles this memory instruction was
 	// policy-blocked before its access started (feeds TransmitterDelay).
 	delayCycles uint32
+	// blocked records memStage's verdict at this instruction's latest visit:
+	// the policy held its access back. A quiet-cycle skip advances
+	// delayCycles by the skipped cycles for every such instruction.
+	blocked bool
 }
 
 // FwdLive reports whether ld's forwarding store still occupies its ROB ring
@@ -345,11 +349,20 @@ type Core struct {
 	// the artifact's --track-insts.
 	Tracer Tracer
 
+	// TickWrote, if non-nil, reports whether the policy's last Tick wrote
+	// any taint. A policy sets it in Attach. RunCtx skips quiet cycles only
+	// when it reports false, so a policy that sets nothing is never skipped
+	// past; the unsafe baseline (nil Pol) has no Tick and needs no answer.
+	TickWrote func() bool
+
 	// Golden-model oracle state is NOT kept here; tests construct their own
 	// emulator and compare after the run.
 
 	cycle uint64
 	seq   uint64
+	// active records that the current cycle changed something besides the
+	// per-cycle stall counters (see RunCtx's quiet-cycle skip).
+	active bool
 
 	// Fetch. The decoupled fetch buffer is a fixed-capacity ring of inline
 	// fetchEntry values (no per-instruction allocation).
@@ -823,6 +836,7 @@ func (c *Core) Step() {
 	// Stage order within a cycle: older pipeline stages act on the state
 	// the younger stages produced in previous cycles.
 	c.squashedThisCycle = false
+	c.active = false
 	c.retire()
 	c.completeExecution()
 	c.memStage()
@@ -851,11 +865,21 @@ func (c *Core) Run(maxInstructions, maxCycles uint64) error {
 // cancelling a run aborts within microseconds of host time.
 const ctxPollMask = 8192 - 1
 
+// livelockCycles is the longest stretch without a retirement RunCtx
+// tolerates before it reports a livelock.
+const livelockCycles = 200_000
+
 // RunCtx is Run with cooperative cancellation: every few thousand cycles
 // it polls ctx and, once the context is done, stops mid-run and returns
 // context.Cause(ctx). The core is left in a consistent (resumable) state.
 // A nil ctx is never polled, so Run's hot loop pays nothing for the
 // feature.
+//
+// RunCtx skips quiet cycles: after a cycle that changed nothing but the
+// stall counters, and whose policy Tick wrote no taint, every following
+// cycle repeats it until the next event (see nextEvent), so the clock
+// jumps there and the stall counters advance in bulk. The result is the
+// same, counter for counter, as calling Step once per cycle.
 func (c *Core) RunCtx(ctx context.Context, maxInstructions, maxCycles uint64) error {
 	lastRetired := c.Stats.Retired
 	lastProgress := c.cycle
@@ -867,11 +891,20 @@ func (c *Core) RunCtx(ctx context.Context, maxInstructions, maxCycles uint64) er
 			default:
 			}
 		}
+		before := c.stallCounts()
 		c.Step()
 		if c.Stats.Retired != lastRetired {
 			lastRetired = c.Stats.Retired
 			lastProgress = c.cycle
-		} else if c.cycle-lastProgress > 200_000 {
+			continue
+		}
+		if c.quiet() {
+			// The jump stops where the stepping loop would next act: at the
+			// cycle bound, at the livelock report, and at the next poll.
+			limit := min(maxCycles, lastProgress+livelockCycles+1, (c.cycle+ctxPollMask)&^ctxPollMask)
+			c.skipTo(min(c.nextEvent(), limit), c.stallCounts().minus(before))
+		}
+		if c.cycle-lastProgress > livelockCycles {
 			return fmt.Errorf("pipeline: livelock at cycle %d (pc=%d, rob=%d)", c.cycle, c.fetchPC, c.robLen)
 		}
 	}

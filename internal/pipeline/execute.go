@@ -75,6 +75,7 @@ func (c *Core) issue() {
 			}
 			di.Issued = true
 			di.Dispatched = false
+			c.active = true
 			c.rsCount--
 			c.Stats.Issued++
 			c.Stats.RSDelay.Observe(c.cycle - di.RenameCycle)
@@ -106,6 +107,7 @@ func (c *Core) issue() {
 
 		di.Issued = true
 		di.Dispatched = false
+		c.active = true
 		c.rsCount--
 		c.Stats.Issued++
 		c.Stats.RSDelay.Observe(c.cycle - di.RenameCycle)
@@ -186,6 +188,7 @@ robScan:
 				continue
 			}
 			di.Done = true
+			c.active = true
 			c.execOutstanding--
 			if di.Dst != NoReg {
 				c.prf[di.Dst] = di.Val
@@ -207,6 +210,7 @@ robScan:
 				continue
 			}
 			di.Done = true
+			c.active = true
 			c.memIncomplete--
 			if di.Dst != NoReg {
 				c.prf[di.Dst] = di.Val
@@ -235,6 +239,7 @@ robScan:
 			}
 			di.Val = c.val(di.Src2)
 			di.Done = true
+			c.active = true
 			c.memIncomplete--
 			if c.Tracer != nil {
 				c.Tracer.Event(c.cycle, di, "complete")
@@ -297,6 +302,7 @@ func (c *Core) resolveBranchWindow(win []DynInst, pending *int) bool {
 			misp = c.Pred.ResolveJump(&di.Cp, di.ActualTarget, di.Ins.Op == isa.JALR)
 		}
 		di.Resolved = true
+		c.active = true
 		c.cfUnresolved--
 		di.Mispredicted = misp
 		if c.Tracer != nil {

@@ -43,6 +43,7 @@ func (c *Core) fetch() {
 	// Instruction storage is byte-addressed through the encoded form.
 	lineBytes := uint64(c.Hier.L1I.Config().LineBytes)
 	fetchAddr := c.fetchPC * isa.WordSize
+	c.active = true
 	done := c.Hier.AccessInstr(c.cycle, fetchAddr)
 	if done > c.cycle+c.Hier.Config().L1I.LatencyCycles {
 		// I-cache miss: stall the front end until the fill completes.

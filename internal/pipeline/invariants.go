@@ -12,7 +12,9 @@ import "fmt"
 //     other architectural register to a unique physical register;
 //   - ROB/LQ/SQ are sequence-ordered and the memory queues are exactly the
 //     memory subsets of the ROB;
-//   - the RS/control-flow/execution occupancy counters match recounts.
+//   - the RS/control-flow/execution occupancy counters match recounts;
+//   - no issued load or non-memory operation is still pending past its
+//     DoneCycle (a skipped cycle must never pass over a completion).
 func (c *Core) CheckInvariants() error {
 	// RAT validity and uniqueness.
 	if c.rat[0] != 0 {
@@ -150,6 +152,13 @@ func (c *Core) CheckInvariants() error {
 		isMem := di.IsLd || di.IsSt
 		if di.Issued && !di.Done && !isMem {
 			eo++
+		}
+		// Completion is due at DoneCycle: once that cycle has been
+		// simulated, the result is available. Stores are exempt, since
+		// they also wait for their data register.
+		started := (di.Issued && !isMem) || (di.IsLd && di.MemIssued)
+		if started && !di.Done && di.DoneCycle < c.cycle {
+			return fmt.Errorf("invariant: seq %d not done at cycle %d, past its DoneCycle %d", di.Seq, c.cycle, di.DoneCycle)
 		}
 		if isMem && !di.Done {
 			mi++

@@ -4,6 +4,7 @@ package pipeline
 // starts: the executed-op counter and, if the policy ever blocked it, the
 // delayed-transmitter count and blocked-cycle distribution.
 func (c *Core) noteMemStart(di *DynInst) {
+	c.active = true
 	if di.IsLd {
 		c.Stats.LoadsExecuted++
 	} else {
@@ -13,6 +14,14 @@ func (c *Core) noteMemStart(di *DynInst) {
 		c.Stats.DelayedTransmitters++
 		c.Stats.TransmitterDelay.Observe(uint64(di.delayCycles))
 	}
+}
+
+// delay charges one policy-blocked cycle to memory instruction di.
+func (c *Core) delay(di *DynInst) {
+	di.DelayedByPolicy = true
+	di.blocked = true
+	di.delayCycles++
+	c.Stats.TransmitterDelays++
 }
 
 // memStage advances the load/store unit by one cycle: stores translate
@@ -42,11 +51,13 @@ func (c *Core) memStage() {
 			// "execute" (translate): the LSQ compares virtual addresses.
 			if !st.violCheck {
 				st.violCheck = true
+				c.active = true
 				c.checkViolations(st)
 			}
 			if st.MemIssued {
 				continue
 			}
+			st.blocked = false
 			if c.Pol != nil && !c.Pol.MayExecuteMem(st) {
 				if lat, ok := c.obliviousLatency(st); ok {
 					if ports == 0 {
@@ -62,9 +73,7 @@ func (c *Core) memStage() {
 					c.noteMemStart(st)
 					continue
 				}
-				st.DelayedByPolicy = true
-				st.delayCycles++
-				c.Stats.TransmitterDelays++
+				c.delay(st)
 				continue
 			}
 			if ports == 0 {
@@ -101,6 +110,7 @@ func (c *Core) memStage() {
 			if !ld.AddrKnown || ld.MemIssued || ld.Violation {
 				continue
 			}
+			ld.blocked = false
 			if c.Pol != nil && !c.Pol.MayExecuteMem(ld) {
 				if lat, ok := c.obliviousLatency(ld); ok && ports > 0 {
 					src, status := c.findStoreSource(ld)
@@ -126,9 +136,7 @@ func (c *Core) memStage() {
 					c.Stats.ObliviousExecs++
 					continue
 				}
-				ld.DelayedByPolicy = true
-				ld.delayCycles++
-				c.Stats.TransmitterDelays++
+				c.delay(ld)
 				continue
 			}
 			if ports == 0 {
@@ -162,7 +170,10 @@ func (c *Core) memStage() {
 			// not observable through cache state or timing.
 			done, ok := c.Hier.AccessData(c.cycle, ld.EffAddr, false)
 			if !ok {
-				continue // all MSHRs busy; retry next cycle
+				// All MSHRs busy: retry next cycle. The retry counts an
+				// MSHR stall, so the cycle is not quiet.
+				c.active = true
+				continue
 			}
 			if c.Observer != nil {
 				c.Observer('L', c.cycle, ld.EffAddr&^63)
@@ -316,6 +327,7 @@ func (c *Core) resolveViolations() {
 		c.squashFrom(ld.Seq)
 		c.redirect(ld.PC)
 		c.squashedThisCycle = true
+		c.active = true
 		return
 	}
 }

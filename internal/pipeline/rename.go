@@ -35,6 +35,7 @@ func (c *Core) renameDispatch() {
 		// fe stays readable after the pop: the slot is only recycled by the
 		// fetch stage, which runs after rename within the cycle.
 		c.fbPopHead()
+		c.active = true
 
 		c.seq++
 		c.Stats.Renamed++

@@ -41,6 +41,7 @@ func (c *Core) retire() {
 		}
 
 		h.Retired = true
+		c.active = true
 		if c.Tracer != nil {
 			c.Tracer.Event(c.cycle, h, "retire")
 		}

@@ -135,6 +135,7 @@ func (c *Core) updateVP() {
 		di := c.robAt(i)
 		if !di.AtVP {
 			di.AtVP = true
+			c.active = true
 			c.Stats.VPCrossings++
 			c.Stats.VPDistance.Observe(c.cycle - di.RenameCycle)
 			if c.Tracer != nil {

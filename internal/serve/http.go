@@ -195,15 +195,28 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, id string) {
 		fmt.Fprintf(w, "event: %s\ndata: %s\n\n", name, b)
 		fl.Flush()
 	}
+	progress := func(ev Event) {
+		if ev.Type == "progress" {
+			emit("progress", map[string]int{"done": ev.Done, "total": ev.Total})
+		}
+	}
 	for {
 		select {
 		case <-r.Context().Done():
 			return
 		case ev := <-watcher.Events:
-			if ev.Type == "progress" {
-				emit("progress", map[string]int{"done": ev.Done, "total": ev.Total})
-			}
+			progress(ev)
 		case <-watcher.Done:
+			// select picks among ready cases at random, so progress events
+			// sent before Done closed may still be buffered: emit them first.
+			for drained := false; !drained; {
+				select {
+				case ev := <-watcher.Events:
+					progress(ev)
+				default:
+					drained = true
+				}
+			}
 			// Terminal: report the final state (without the payload — SSE
 			// frames are news, not result transport; GET fetches the body).
 			st, serr := s.Status(id)

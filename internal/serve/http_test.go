@@ -244,6 +244,68 @@ func TestHTTPSSEStream(t *testing.T) {
 	}
 }
 
+// heldWriter is a ResponseRecorder whose first Flush, the one streamJob
+// makes right after it subscribes, blocks until the test releases it.
+type heldWriter struct {
+	*httptest.ResponseRecorder
+	subscribed, release chan struct{}
+	flushed             bool
+}
+
+func (w *heldWriter) Flush() {
+	if !w.flushed {
+		w.flushed = true
+		close(w.subscribed)
+		<-w.release
+	}
+	w.ResponseRecorder.Flush()
+}
+
+// TestSSEStreamDrainsBufferedProgress enters the stream loop with both of
+// a job's progress events buffered and Done already closed. The stream
+// must emit both before the final state event; a loop that lets select
+// take Done first loses them in three rounds of four.
+func TestSSEStreamDrainsBufferedProgress(t *testing.T) {
+	for round := 0; round < 32; round++ {
+		step := make(chan struct{}, 2)
+		run := func(ctx context.Context, _ *JobSpec, _ int, progress func(int, int)) ([]byte, error) {
+			for i := 1; i <= 2; i++ {
+				<-step
+				progress(i, 2)
+			}
+			return []byte("{}\n"), nil
+		}
+		s := newTestServer(t, Config{Workers: 1}, run)
+		st, err := s.Submit(gridSpec("mcf", 1000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := &heldWriter{ResponseRecorder: httptest.NewRecorder(), subscribed: make(chan struct{}), release: make(chan struct{})}
+		served := make(chan struct{})
+		go func() {
+			defer close(served)
+			s.streamJob(w, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+st.ID, nil), st.ID)
+		}()
+		<-w.subscribed
+		step <- struct{}{}
+		step <- struct{}{}
+		watcher, err := s.Watch(st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-watcher.Done
+		watcher.Close()
+		close(w.release)
+		<-served
+		shutdownNow(t, s)
+		body := w.Body.String()
+		if n := strings.Count(body, "event: progress"); n != 2 || !strings.Contains(body, "event: state") {
+			t.Fatalf("round %d: stream has %d progress events (want 2) and state=%v:\n%s",
+				round, n, strings.Contains(body, "event: state"), body)
+		}
+	}
+}
+
 func TestHTTPMetricsAndHealth(t *testing.T) {
 	s, ts := newHTTPServer(t, Config{Workers: 1}, instantRun)
 	_, v := postJob(t, ts, mcfJob)

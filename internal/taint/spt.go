@@ -115,8 +115,10 @@ type SPT struct {
 	retiredStoreData map[uint64]bool // store seq -> data taint at retire
 
 	// cycleUntaints counts registers untainted in the current cycle, for
-	// the Figure 9 histogram.
+	// the Figure 9 histogram; untainted records whether the last cycle's
+	// count was nonzero, the core's TickWrote answer.
 	cycleUntaints int
+	untainted     bool
 
 	// candBuf and seenReg are per-cycle scratch reused across Tick calls so
 	// the steady-state untaint pass performs no allocation.
@@ -148,6 +150,9 @@ func (s *SPT) Attach(c *pipeline.Core) {
 		s.taint[p] = true
 	}
 	s.seenReg = make([]bool, c.PhysRegCount())
+	// Tick only ever untaints, and every untaint of the cycle, whichever
+	// round applied it, is counted in cycleUntaints.
+	c.TickWrote = func() bool { return s.untainted }
 	s.shadow = newShadow(s.cfg.Shadow)
 	if s.cfg.Shadow == ShadowL1 {
 		c.Hier.L1D.OnFill = s.shadow.onFill
@@ -351,6 +356,7 @@ func (s *SPT) MaySquashOnViolation(ld *pipeline.DynInst) bool {
 func (s *SPT) recordCycle() {
 	n := s.cycleUntaints
 	s.cycleUntaints = 0
+	s.untainted = n > 0
 	if n == 0 {
 		return
 	}

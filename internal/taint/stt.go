@@ -20,6 +20,9 @@ type STT struct {
 	sTaint []bool
 	// win mirrors the ROB and marks the slots Tick must re-evaluate.
 	win window
+	// wrote records whether the last Tick changed any s-taint, the core's
+	// TickWrote answer.
+	wrote bool
 
 	Stats STTStats
 }
@@ -45,6 +48,7 @@ func (t *STT) Attach(c *pipeline.Core) {
 	t.core = c
 	t.sTaint = make([]bool, c.PhysRegCount())
 	t.win = newWindow(c)
+	c.TickWrote = func() bool { return t.wrote }
 }
 
 // STainted reports a register's speculative taint (for tests).
@@ -141,6 +145,7 @@ func (t *STT) STLForwardPublic(st, ld *pipeline.DynInst) bool {
 // dirtied by the sweep is still ahead of it, and one sweep reaches the
 // transitive closure.
 func (t *STT) Tick() {
+	t.wrote = false
 	for slot := t.win.oldest(t.win.dirty); slot >= 0; slot = t.win.oldest(t.win.dirty) {
 		di := t.win.slots[slot]
 		if want := t.sTaintOf(di); want != t.sTaint[di.Dst] {
@@ -149,6 +154,7 @@ func (t *STT) Tick() {
 			}
 			t.sTaint[di.Dst] = want
 			t.win.touch(di.Dst)
+			t.wrote = true
 		}
 		clearBit(t.win.dirty, slot)
 	}
