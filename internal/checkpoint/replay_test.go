@@ -13,8 +13,7 @@ import (
 // same program to the same points through both paths, the pseudo-clock,
 // the entire warm hierarchy and predictor state, and the architectural
 // snapshot must all match exactly. The uneven targets land advances
-// inside superblocks (Step-tail path), on fused-pair boundaries, and
-// across event-buffer flushes.
+// inside blocks (Step-tail path) and across event-buffer flushes.
 func TestWalkerReplayMatchesHooked(t *testing.T) {
 	hcfg := mem.DefaultHierarchyConfig()
 	for _, name := range []string{"gcc", "mcf", "xz", "aes-bitslice"} {

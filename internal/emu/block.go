@@ -7,34 +7,22 @@ import (
 	"spt/internal/isa"
 )
 
-// Threaded-code execution engine, v2: instead of re-decoding every
+// Threaded-code execution engine: instead of re-decoding every
 // instruction on every visit (the Step path), run predecodes code into
-// superblocks of dense micro-op records — operands, immediates, and
-// branch targets already extracted, the handler selected — and executes
-// them in a tight dispatch loop.
+// blocks of dense micro-op records — operands, immediates, and branch
+// targets already extracted, the handler selected — and executes them in
+// a tight dispatch loop. Each instruction decodes to exactly one µop.
 //
-// A superblock has one entry and many exits: decode continues through
-// conditional branches (the not-taken path stays in-block, the taken path
-// exits through a per-op successor pointer) and through forward JALs (the
-// link write is emitted as a uJalIn micro-op and decode resumes at the
-// jump target, so hot call chains flatten into one µop array). Decode
-// terminates at JALR, HALT, backward jumps, or the instruction budget.
-// Because an inlined jump makes the block span several disjoint PC
-// ranges, each block records its ranges for InvalidateCode overlap
-// checks.
+// A block has one entry and many exits, and covers one contiguous PC
+// range [start, end): decode continues through conditional branches (the
+// not-taken path stays in-block, the taken path exits through a per-op
+// successor pointer) and stops after a JAL, JALR or HALT, or at
+// maxBlockLen instructions.
 //
-// Two decode-time optimizations ride on top:
-//
-//   - Micro-op fusion: the dominant adjacent pairs — an ALU op feeding a
-//     conditional branch, and address generation feeding a load/store —
-//     collapse into one uFused micro-op executed in a single dispatch.
-//     Fusion never crosses a range boundary and both halves retire
-//     atomically on the fast path (budget-truncated runs fall back to the
-//     per-instruction tail, which splits pairs naturally).
-//   - Per-µop translation slots: each memory micro-op owns a one-entry
-//     page-translation cache (memSlot) validated by the memory's epoch,
-//     so the three-array kernels (lbm) whose bases alias in the global
-//     direct-mapped page cache each keep their own hot page.
+// Every memory micro-op owns a one-entry page-translation cache (memSlot)
+// validated by the memory's epoch, so the three-array kernels (lbm) whose
+// bases alias in the global direct-mapped page cache each keep their own
+// hot page.
 //
 // There is one dispatch loop (runBlocks) and one mode: every instruction
 // records its WarmEvent. RunWarm hands the events to the checkpoint
@@ -42,9 +30,9 @@ import (
 //
 // Correctness contract: the block engine and Step implement identical
 // architectural semantics and warming events (block_test.go cross-checks
-// them instruction for instruction on suite kernels and random programs).
-// Step remains the golden reference; the block engine is the throughput
-// path behind Run and RunWarm.
+// them instruction for instruction on every suite kernel and on random
+// programs). Step remains the golden reference; the block engine is the
+// throughput path behind Run and RunWarm.
 //
 // The cache holds no architectural state — only a decoded view of
 // Prog.Code — so snapshots and copy-on-write restores (snapshot.go) never
@@ -73,8 +61,7 @@ const (
 	uStore8
 	uStore4
 	uStore1
-	uJal   // terminal jump: backward or out-of-range target
-	uJalIn // inlined forward JAL: link write only, execution continues in-block
+	uJal
 	uJalr
 	uBeq
 	uBne
@@ -103,8 +90,7 @@ const (
 	uShri
 	uSrai
 	uSlti
-	uAlu   // anything else register-writing: DIV, REM, SLT(U), MIN/MAX(U), ...
-	uFused // two-instruction pair: k1 (ALU first half) + k2 (branch or memory second half)
+	uAlu // anything else register-writing: DIV, REM, SLT(U), MIN/MAX(U), ...
 )
 
 // raReg is the return-address register, the only register with
@@ -112,27 +98,18 @@ const (
 const raReg = uint8(isa.RA)
 
 // uOp is one predecoded micro-op: everything the dispatch loop needs
-// without touching isa.Instruction again. A fused op carries both halves:
-// rd/rs1/rs2/imm belong to the first (ALU) instruction at pc, and
-// rd2/rs21/rs22/imm2/target to the second at pc+1.
+// without touching isa.Instruction again.
 type uOp struct {
 	imm    int64
-	imm2   int64
-	target uint64 // static taken/jump destination (branches, uJal, uJalIn)
+	target uint64 // static taken/jump destination (branches, uJal)
 	succ   *block // cached block at target, resolved lazily on first taken exit
-	pc     uint32 // PC of this op's (first) instruction
+	pc     uint32
 	sIdx   uint16 // index into the block's translation slots (memory ops only)
-	cum    uint16 // instructions retired through this op inclusive (2 for fused)
 	kind   uKind
-	k1     uKind // fused first-half kind
-	k2     uKind // fused second-half kind
 	op     isa.Op
 	rd     uint8
 	rs1    uint8
 	rs2    uint8
-	rd2    uint8
-	rs21   uint8
-	rs22   uint8
 }
 
 // memSlot is a one-entry page-translation cache owned by a single memory
@@ -147,31 +124,21 @@ type memSlot struct {
 	pg    *page
 }
 
-const (
-	// maxBlockLen bounds a superblock's instruction count so the budget
-	// arithmetic stays cheap and a pathological straight-line program
-	// cannot decode the whole code section in one shot.
-	maxBlockLen = 128
-	// maxRanges bounds how many disjoint PC ranges one superblock may
-	// span (each inlined forward JAL opens a new range).
-	maxRanges = 8
-)
+// maxBlockLen bounds a block's instruction count so the budget arithmetic
+// stays cheap and a pathological straight-line program cannot decode the
+// whole code section in one shot.
+const maxBlockLen = 128
 
-// crange is one half-open PC range [from, to) covered by a superblock.
-type crange struct{ from, to uint64 }
-
-// block is a predecoded superblock entered at start. cost is the number
-// of architectural instructions a full pass retires; end is the resume PC
-// when execution falls off the last op. next chains to the fall-through
+// block is a predecoded block covering the instructions [start, end): a
+// full pass retires end-start of them and resumes at end. The op at
+// index j is the instruction at start+j. next chains to the fall-through
 // successor (resolved lazily), taken exits chain through each op's succ.
 type block struct {
-	start  uint64
-	end    uint64
-	cost   uint64
-	ops    []uOp
-	slots  []memSlot
-	next   *block
-	ranges []crange
+	start uint64
+	end   uint64
+	ops   []uOp
+	slots []memSlot
+	next  *block
 }
 
 // decodeOne predecodes the instruction at pc. Register-writing ops whose
@@ -285,33 +252,6 @@ func decodeOne(ins isa.Instruction, pc uint64) uOp {
 	return u
 }
 
-// fusableFirst reports whether k can serve as the first half of a fused
-// pair: a single-dispatch register write with no control flow — a plain
-// ALU op (the classic condition-feeds-branch and address-generation
-// producers) or a load (pointer chases and load-compare-branch chains).
-func fusableFirst(k uKind) bool {
-	switch k {
-	case uMovi, uMov, uAdd, uSub, uAnd, uOr, uXor, uShl, uShr, uSra, uMul,
-		uAddw, uSubw, uRolw, uRorw, uAddi, uAndi, uOri, uXori, uShli, uShri, uSrai, uSlti,
-		uLoad8, uLoad4, uLoad1:
-		return true
-	}
-	return false
-}
-
-// fusableSecond reports whether k can serve as the second half of a fused
-// pair: a conditional branch (the condition-feeds-branch pattern), a
-// load/store (the address-generation pattern), or another plain ALU op
-// (back-to-back arithmetic, the common case in crypto kernels). uAlu is
-// excluded because a fused op has no room for a second isa.Op.
-func fusableSecond(k uKind) bool {
-	switch k {
-	case uBeq, uBne, uBlt, uBge, uBltu, uBgeu, uLoad8, uLoad4, uLoad1, uStore8, uStore4, uStore1:
-		return true
-	}
-	return false
-}
-
 func isMemKind(k uKind) bool {
 	switch k {
 	case uLoad8, uLoad4, uLoad1, uStore8, uStore4, uStore1:
@@ -320,84 +260,30 @@ func isMemKind(k uKind) bool {
 	return false
 }
 
-// decodeBlock predecodes the superblock entered at start: straight-line
-// code plus not-taken branch fall-through, with forward JALs inlined.
+// decodeBlock predecodes the block entered at start: straight-line code
+// plus not-taken branch fall-through, up to and including the first JAL,
+// JALR or HALT.
 func decodeBlock(code []isa.Instruction, start uint64) *block {
 	b := &block{start: start}
-	codeLen := uint64(len(code))
-	pc := start
-	from := start // start of the current contiguous range
-	n := 0        // instructions decoded
 	nslots := 0
-	finish := func(endPC, rangeTo uint64) *block {
-		b.ranges = append(b.ranges, crange{from, rangeTo})
-		b.end = endPC
-		b.cost = uint64(n)
-		if nslots > 0 {
-			b.slots = make([]memSlot, nslots)
+	pc := start
+	for pc < uint64(len(code)) && pc-start < maxBlockLen {
+		u := decodeOne(code[pc], pc)
+		if isMemKind(u.kind) {
+			u.sIdx = uint16(nslots)
+			nslots++
 		}
-		return b
-	}
-	for n < maxBlockLen && pc < codeLen {
-		ins := code[pc]
-		u := decodeOne(ins, pc)
-		n++
-		u.cum = uint16(n)
-		switch {
-		case u.kind == uHalt || u.kind == uJalr:
-			b.ops = append(b.ops, u)
-			return finish(pc+1, pc+1)
-		case u.kind == uJal:
-			if tgt := u.target; tgt > pc && tgt < codeLen && len(b.ranges) < maxRanges-1 && n < maxBlockLen {
-				// Forward jump: emit the link write and keep decoding at
-				// the target — the chain flattens into this block.
-				u.kind = uJalIn
-				b.ops = append(b.ops, u)
-				b.ranges = append(b.ranges, crange{from, pc + 1})
-				pc = tgt
-				from = tgt
-				continue
-			}
-			// Backward or out-of-range jump: terminal, taken exit.
-			b.ops = append(b.ops, u)
-			return finish(pc+1, pc+1)
-		default:
-			// Try fusing with the previous op: both halves must be
-			// adjacent in the same range, the first must be a plain
-			// register write (fused ops themselves never refuse again
-			// because uFused is not fusableFirst), and at most one half
-			// may touch memory — a fused pair carries a single
-			// translation slot.
-			if fusableSecond(u.kind) && len(b.ops) > 0 {
-				prev := &b.ops[len(b.ops)-1]
-				if fusableFirst(prev.kind) && uint64(prev.pc)+1 == pc &&
-					!(isMemKind(prev.kind) && isMemKind(u.kind)) {
-					prev.k1 = prev.kind
-					prev.k2 = u.kind
-					prev.kind = uFused
-					prev.rd2 = u.rd
-					prev.rs21 = u.rs1
-					prev.rs22 = u.rs2
-					prev.imm2 = u.imm
-					prev.target = u.target
-					prev.cum = uint16(n)
-					if isMemKind(u.kind) {
-						prev.sIdx = uint16(nslots)
-						nslots++
-					}
-					pc++
-					continue
-				}
-			}
-			if isMemKind(u.kind) {
-				u.sIdx = uint16(nslots)
-				nslots++
-			}
-			b.ops = append(b.ops, u)
-			pc++
+		b.ops = append(b.ops, u)
+		pc++
+		if u.kind == uJal || u.kind == uJalr || u.kind == uHalt {
+			break
 		}
 	}
-	return finish(pc, pc)
+	b.end = pc
+	if nslots > 0 {
+		b.slots = make([]memSlot, nslots)
+	}
+	return b
 }
 
 // blockAt returns the cached block entered at pc, decoding it on first
@@ -429,38 +315,32 @@ func (e *Emulator) SetCode(pc uint64, ins isa.Instruction) {
 
 // InvalidateCode drops cached blocks covering [from, to), forcing a
 // re-decode on next entry. Use it after mutating Prog.Code directly.
-// A superblock spans every range it decoded through (inlined forward
-// jumps open new ranges), so overlap is checked against each range.
 // Invalidation is coarse — one overlapping block drops the whole cache —
 // because blocks chain successor pointers to each other, so a surviving
 // block could otherwise keep a stale neighbor reachable. Code patching is
 // rare and decode is cheap; correctness wins over precision here.
 func (e *Emulator) InvalidateCode(from, to uint64) {
 	for _, b := range e.blocks {
-		if b == nil {
-			continue
-		}
-		for _, r := range b.ranges {
-			if r.from < to && from < r.to {
-				e.blocks = nil
-				return
-			}
+		if b != nil && b.start < to && from < b.end {
+			e.blocks = nil
+			return
 		}
 	}
 }
 
 // runBlocks is the dispatch loop behind Run and RunWarm. Control chains
-// superblock to superblock through cached successor pointers (taken exits
-// through the exiting op's succ, fall-through through the block's next);
-// only dynamic jumps fall back to a cache lookup. A block executes on the
-// fast path only when the remaining budget covers it whole — the final
-// partial block runs through the per-instruction Step reference, which
-// also splits fused pairs at budget boundaries.
+// block to block through cached successor pointers (taken exits through
+// the exiting op's succ, fall-through through the block's next); only
+// dynamic jumps fall back to a cache lookup. A block executes on the fast
+// path only when the remaining budget covers it whole — the final partial
+// block runs through the per-instruction Step reference.
 //
 // Every instruction appends one WarmEvent to the warming buffer, captured
-// from pre-execution state; the buffer is flushed through flush whenever
-// it fills and before every return. Run passes a sink that discards the
-// events, so there is one loop and one mode.
+// from pre-execution state. The buffer is flushed through flush on entry
+// to a block it has no room for (a block never exceeds maxBlockLen events,
+// far below warmBufCap), when it fills on the Step tail, and before every
+// return. Run passes a sink that discards the events, so there is one loop
+// and one mode.
 func (e *Emulator) runBlocks(maxInstructions uint64, flush func([]WarmEvent)) (uint64, error) {
 	s := &e.State
 	regs := &s.Regs
@@ -493,25 +373,25 @@ top:
 	b = e.blockAt(s.PC)
 
 enter:
-	if done+b.cost > maxInstructions {
+	if done+(b.end-b.start) > maxInstructions {
 		goto tail
 	}
 	ops = b.ops
 	slots = b.slots
+	if cap(buf)-len(buf) < len(ops) {
+		flush(buf)
+		buf = buf[:0]
+	}
 	for j = 0; j < len(ops); j++ {
 		o = &ops[j]
-		if len(buf)+2 > cap(buf) {
-			flush(buf)
-			buf = buf[:0]
-		}
 		buf = append(buf, WarmEvent{PC: uint64(o.pc)})
 		switch o.kind {
 		case uNop:
 		case uHalt:
 			s.Halted = true
 			s.PC = uint64(o.pc) + 1
-			s.Retired += uint64(o.cum)
-			done += uint64(o.cum)
+			s.Retired += uint64(j) + 1
+			done += uint64(j) + 1
 			goto out
 		case uMovi:
 			regs[o.rd&31] = uint64(o.imm)
@@ -632,20 +512,9 @@ enter:
 				regs[o.rd&31] = uint64(o.pc) + 1
 			}
 			s.PC = o.target
-			s.Retired += uint64(o.cum)
-			done += uint64(o.cum)
+			s.Retired += uint64(j) + 1
+			done += uint64(j) + 1
 			goto taken
-		case uJalIn:
-			ev = &buf[len(buf)-1]
-			ev.Aux = o.target
-			if o.rd == raReg {
-				ev.Kind = WarmJalCall
-			} else {
-				ev.Kind = WarmJal
-			}
-			if o.rd != 0 {
-				regs[o.rd&31] = uint64(o.pc) + 1
-			}
 		case uJalr:
 			// Read rs1 before writing the link: JALR may use its own
 			// destination as the jump base.
@@ -664,8 +533,8 @@ enter:
 				regs[o.rd&31] = uint64(o.pc) + 1
 			}
 			s.PC = a
-			s.Retired += uint64(o.cum)
-			done += uint64(o.cum)
+			s.Retired += uint64(j) + 1
+			done += uint64(j) + 1
 			goto top
 		case uBeq:
 			if regs[o.rs1&31] == regs[o.rs2&31] {
@@ -745,309 +614,11 @@ enter:
 			}
 		case uAlu:
 			regs[o.rd&31] = ALU(o.op, regs[o.rs1&31], regs[o.rs2&31], o.imm)
-		case uFused:
-			// First half: the ALU or load instruction at o.pc.
-			switch o.k1 {
-			case uMovi:
-				regs[o.rd&31] = uint64(o.imm)
-			case uMov:
-				regs[o.rd&31] = regs[o.rs1&31]
-			case uAdd:
-				regs[o.rd&31] = regs[o.rs1&31] + regs[o.rs2&31]
-			case uSub:
-				regs[o.rd&31] = regs[o.rs1&31] - regs[o.rs2&31]
-			case uAnd:
-				regs[o.rd&31] = regs[o.rs1&31] & regs[o.rs2&31]
-			case uOr:
-				regs[o.rd&31] = regs[o.rs1&31] | regs[o.rs2&31]
-			case uXor:
-				regs[o.rd&31] = regs[o.rs1&31] ^ regs[o.rs2&31]
-			case uShl:
-				regs[o.rd&31] = regs[o.rs1&31] << (regs[o.rs2&31] & 63)
-			case uShr:
-				regs[o.rd&31] = regs[o.rs1&31] >> (regs[o.rs2&31] & 63)
-			case uSra:
-				regs[o.rd&31] = uint64(int64(regs[o.rs1&31]) >> (regs[o.rs2&31] & 63))
-			case uMul:
-				regs[o.rd&31] = regs[o.rs1&31] * regs[o.rs2&31]
-			case uAddw:
-				regs[o.rd&31] = uint64(uint32(regs[o.rs1&31]) + uint32(regs[o.rs2&31]))
-			case uSubw:
-				regs[o.rd&31] = uint64(uint32(regs[o.rs1&31]) - uint32(regs[o.rs2&31]))
-			case uRolw:
-				regs[o.rd&31] = uint64(bits.RotateLeft32(uint32(regs[o.rs1&31]), int(regs[o.rs2&31]&31)))
-			case uRorw:
-				regs[o.rd&31] = uint64(bits.RotateLeft32(uint32(regs[o.rs1&31]), -int(regs[o.rs2&31]&31)))
-			case uAddi:
-				regs[o.rd&31] = regs[o.rs1&31] + uint64(o.imm)
-			case uAndi:
-				regs[o.rd&31] = regs[o.rs1&31] & uint64(o.imm)
-			case uOri:
-				regs[o.rd&31] = regs[o.rs1&31] | uint64(o.imm)
-			case uXori:
-				regs[o.rd&31] = regs[o.rs1&31] ^ uint64(o.imm)
-			case uShli:
-				regs[o.rd&31] = regs[o.rs1&31] << (uint64(o.imm) & 63)
-			case uShri:
-				regs[o.rd&31] = regs[o.rs1&31] >> (uint64(o.imm) & 63)
-			case uSrai:
-				regs[o.rd&31] = uint64(int64(regs[o.rs1&31]) >> (uint64(o.imm) & 63))
-			case uSlti:
-				if int64(regs[o.rs1&31]) < o.imm {
-					regs[o.rd&31] = 1
-				} else {
-					regs[o.rd&31] = 0
-				}
-			case uLoad8:
-				a := regs[o.rs1&31] + uint64(o.imm)
-				ev = &buf[len(buf)-1]
-				ev.Kind = WarmLoad
-				ev.Aux = a
-				off := a & (pageSize - 1)
-				pn := a >> pageShift
-				sl := &slots[o.sIdx]
-				if off <= pageSize-8 && sl.tag == pn+1 && sl.epoch == m.epoch {
-					regs[o.rd&31] = binary.LittleEndian.Uint64(sl.pg[off : off+8])
-				} else if si := pn & (pcacheSlots - 1); off <= pageSize-8 && m.ctags[si] == pn+1 {
-					p := m.cptrs[si]
-					if sl.tag == pn+1 {
-						sl.epoch, sl.pg = m.epoch, p
-					}
-					regs[o.rd&31] = binary.LittleEndian.Uint64(p[off : off+8])
-				} else {
-					regs[o.rd&31] = m.Read(a, 8)
-					if p := m.lookup(pn); p != nil && off <= pageSize-8 {
-						sl.epoch, sl.tag, sl.pg = m.epoch, pn+1, p
-					}
-				}
-			case uLoad4:
-				a := regs[o.rs1&31] + uint64(o.imm)
-				ev = &buf[len(buf)-1]
-				ev.Kind = WarmLoad
-				ev.Aux = a
-				off := a & (pageSize - 1)
-				pn := a >> pageShift
-				sl := &slots[o.sIdx]
-				if off <= pageSize-4 && sl.tag == pn+1 && sl.epoch == m.epoch {
-					regs[o.rd&31] = uint64(binary.LittleEndian.Uint32(sl.pg[off : off+4]))
-				} else if si := pn & (pcacheSlots - 1); off <= pageSize-4 && m.ctags[si] == pn+1 {
-					p := m.cptrs[si]
-					if sl.tag == pn+1 {
-						sl.epoch, sl.pg = m.epoch, p
-					}
-					regs[o.rd&31] = uint64(binary.LittleEndian.Uint32(p[off : off+4]))
-				} else {
-					regs[o.rd&31] = m.Read(a, 4)
-					if p := m.lookup(pn); p != nil && off <= pageSize-4 {
-						sl.epoch, sl.tag, sl.pg = m.epoch, pn+1, p
-					}
-				}
-			case uLoad1:
-				a := regs[o.rs1&31] + uint64(o.imm)
-				ev = &buf[len(buf)-1]
-				ev.Kind = WarmLoad
-				ev.Aux = a
-				pn := a >> pageShift
-				sl := &slots[o.sIdx]
-				if sl.tag == pn+1 && sl.epoch == m.epoch {
-					regs[o.rd&31] = uint64(sl.pg[a&(pageSize-1)])
-				} else if si := pn & (pcacheSlots - 1); m.ctags[si] == pn+1 {
-					p := m.cptrs[si]
-					if sl.tag == pn+1 {
-						sl.epoch, sl.pg = m.epoch, p
-					}
-					regs[o.rd&31] = uint64(p[a&(pageSize-1)])
-				} else {
-					regs[o.rd&31] = m.Read(a, 1)
-					if p := m.lookup(pn); p != nil {
-						sl.epoch, sl.tag, sl.pg = m.epoch, pn+1, p
-					}
-				}
-			}
-			// Second half: the branch, memory, or ALU instruction at
-			// o.pc+1 (operands in rd2/rs21/rs22/imm2). Its warm event
-			// observes the state after the first half executed — exactly
-			// what the per-instruction reference sees.
-			buf = append(buf, WarmEvent{PC: uint64(o.pc) + 1})
-			switch o.k2 {
-			case uMovi:
-				regs[o.rd2&31] = uint64(o.imm2)
-			case uMov:
-				regs[o.rd2&31] = regs[o.rs21&31]
-			case uAdd:
-				regs[o.rd2&31] = regs[o.rs21&31] + regs[o.rs22&31]
-			case uSub:
-				regs[o.rd2&31] = regs[o.rs21&31] - regs[o.rs22&31]
-			case uAnd:
-				regs[o.rd2&31] = regs[o.rs21&31] & regs[o.rs22&31]
-			case uOr:
-				regs[o.rd2&31] = regs[o.rs21&31] | regs[o.rs22&31]
-			case uXor:
-				regs[o.rd2&31] = regs[o.rs21&31] ^ regs[o.rs22&31]
-			case uMul:
-				regs[o.rd2&31] = regs[o.rs21&31] * regs[o.rs22&31]
-			case uShl:
-				regs[o.rd2&31] = regs[o.rs21&31] << (regs[o.rs22&31] & 63)
-			case uShr:
-				regs[o.rd2&31] = regs[o.rs21&31] >> (regs[o.rs22&31] & 63)
-			case uSra:
-				regs[o.rd2&31] = uint64(int64(regs[o.rs21&31]) >> (regs[o.rs22&31] & 63))
-			case uAddw:
-				regs[o.rd2&31] = uint64(uint32(regs[o.rs21&31]) + uint32(regs[o.rs22&31]))
-			case uSubw:
-				regs[o.rd2&31] = uint64(uint32(regs[o.rs21&31]) - uint32(regs[o.rs22&31]))
-			case uRolw:
-				regs[o.rd2&31] = uint64(bits.RotateLeft32(uint32(regs[o.rs21&31]), int(regs[o.rs22&31]&31)))
-			case uRorw:
-				regs[o.rd2&31] = uint64(bits.RotateLeft32(uint32(regs[o.rs21&31]), -int(regs[o.rs22&31]&31)))
-			case uAddi:
-				regs[o.rd2&31] = regs[o.rs21&31] + uint64(o.imm2)
-			case uAndi:
-				regs[o.rd2&31] = regs[o.rs21&31] & uint64(o.imm2)
-			case uOri:
-				regs[o.rd2&31] = regs[o.rs21&31] | uint64(o.imm2)
-			case uXori:
-				regs[o.rd2&31] = regs[o.rs21&31] ^ uint64(o.imm2)
-			case uShli:
-				regs[o.rd2&31] = regs[o.rs21&31] << (uint64(o.imm2) & 63)
-			case uShri:
-				regs[o.rd2&31] = regs[o.rs21&31] >> (uint64(o.imm2) & 63)
-			case uSrai:
-				regs[o.rd2&31] = uint64(int64(regs[o.rs21&31]) >> (uint64(o.imm2) & 63))
-			case uSlti:
-				if int64(regs[o.rs21&31]) < o.imm2 {
-					regs[o.rd2&31] = 1
-				} else {
-					regs[o.rd2&31] = 0
-				}
-			case uBeq:
-				if regs[o.rs21&31] == regs[o.rs22&31] {
-					goto bTaken
-				}
-				goto bNotTaken
-			case uBne:
-				if regs[o.rs21&31] != regs[o.rs22&31] {
-					goto bTaken
-				}
-				goto bNotTaken
-			case uBlt:
-				if int64(regs[o.rs21&31]) < int64(regs[o.rs22&31]) {
-					goto bTaken
-				}
-				goto bNotTaken
-			case uBge:
-				if int64(regs[o.rs21&31]) >= int64(regs[o.rs22&31]) {
-					goto bTaken
-				}
-				goto bNotTaken
-			case uBltu:
-				if regs[o.rs21&31] < regs[o.rs22&31] {
-					goto bTaken
-				}
-				goto bNotTaken
-			case uBgeu:
-				if regs[o.rs21&31] >= regs[o.rs22&31] {
-					goto bTaken
-				}
-				goto bNotTaken
-			case uLoad8:
-				a := regs[o.rs21&31] + uint64(o.imm2)
-				ev = &buf[len(buf)-1]
-				ev.Kind = WarmLoad
-				ev.Aux = a
-				off := a & (pageSize - 1)
-				pn := a >> pageShift
-				sl := &slots[o.sIdx]
-				if off <= pageSize-8 && sl.tag == pn+1 && sl.epoch == m.epoch {
-					regs[o.rd2&31] = binary.LittleEndian.Uint64(sl.pg[off : off+8])
-				} else {
-					regs[o.rd2&31] = m.Read(a, 8)
-					if p := m.lookup(pn); p != nil {
-						sl.epoch, sl.tag, sl.pg = m.epoch, pn+1, p
-					}
-				}
-			case uLoad4:
-				a := regs[o.rs21&31] + uint64(o.imm2)
-				ev = &buf[len(buf)-1]
-				ev.Kind = WarmLoad
-				ev.Aux = a
-				off := a & (pageSize - 1)
-				pn := a >> pageShift
-				sl := &slots[o.sIdx]
-				if off <= pageSize-4 && sl.tag == pn+1 && sl.epoch == m.epoch {
-					regs[o.rd2&31] = uint64(binary.LittleEndian.Uint32(sl.pg[off : off+4]))
-				} else {
-					regs[o.rd2&31] = m.Read(a, 4)
-					if p := m.lookup(pn); p != nil {
-						sl.epoch, sl.tag, sl.pg = m.epoch, pn+1, p
-					}
-				}
-			case uLoad1:
-				a := regs[o.rs21&31] + uint64(o.imm2)
-				ev = &buf[len(buf)-1]
-				ev.Kind = WarmLoad
-				ev.Aux = a
-				pn := a >> pageShift
-				sl := &slots[o.sIdx]
-				if sl.tag == pn+1 && sl.epoch == m.epoch {
-					regs[o.rd2&31] = uint64(sl.pg[a&(pageSize-1)])
-				} else {
-					regs[o.rd2&31] = m.Read(a, 1)
-					if p := m.lookup(pn); p != nil {
-						sl.epoch, sl.tag, sl.pg = m.epoch, pn+1, p
-					}
-				}
-			case uStore8:
-				a := regs[o.rs21&31] + uint64(o.imm2)
-				ev = &buf[len(buf)-1]
-				ev.Kind = WarmStore
-				ev.Aux = a
-				off := a & (pageSize - 1)
-				pn := a >> pageShift
-				sl := &slots[o.sIdx]
-				if off <= pageSize-8 && sl.tag == pn+1 && sl.epoch == m.epoch {
-					binary.LittleEndian.PutUint64(sl.pg[off:off+8], regs[o.rs22&31])
-				} else {
-					m.Write(a, 8, regs[o.rs22&31])
-					if off <= pageSize-8 {
-						sl.epoch, sl.tag, sl.pg = m.epoch, pn+1, m.ensure(pn)
-					}
-				}
-			case uStore4:
-				a := regs[o.rs21&31] + uint64(o.imm2)
-				ev = &buf[len(buf)-1]
-				ev.Kind = WarmStore
-				ev.Aux = a
-				off := a & (pageSize - 1)
-				pn := a >> pageShift
-				sl := &slots[o.sIdx]
-				if off <= pageSize-4 && sl.tag == pn+1 && sl.epoch == m.epoch {
-					binary.LittleEndian.PutUint32(sl.pg[off:off+4], uint32(regs[o.rs22&31]))
-				} else {
-					m.Write(a, 4, regs[o.rs22&31])
-					if off <= pageSize-4 {
-						sl.epoch, sl.tag, sl.pg = m.epoch, pn+1, m.ensure(pn)
-					}
-				}
-			case uStore1:
-				a := regs[o.rs21&31] + uint64(o.imm2)
-				ev = &buf[len(buf)-1]
-				ev.Kind = WarmStore
-				ev.Aux = a
-				pn := a >> pageShift
-				sl := &slots[o.sIdx]
-				if sl.tag == pn+1 && sl.epoch == m.epoch {
-					sl.pg[a&(pageSize-1)] = byte(regs[o.rs22&31])
-				} else {
-					m.Write(a, 1, regs[o.rs22&31])
-					sl.epoch, sl.tag, sl.pg = m.epoch, pn+1, m.ensure(pn)
-				}
-			}
 		}
 		continue
 
 	bNotTaken:
-		// Not-taken branch: execution continues in-block (the superblock
+		// Not-taken branch: execution continues in-block (the block
 		// decoded through the fall-through path).
 		ev = &buf[len(buf)-1]
 		ev.Kind = WarmCondNotTaken
@@ -1059,15 +630,15 @@ enter:
 		ev.Kind = WarmCondTaken
 		ev.Aux = o.target
 		s.PC = o.target
-		s.Retired += uint64(o.cum)
-		done += uint64(o.cum)
+		s.Retired += uint64(j) + 1
+		done += uint64(j) + 1
 		goto taken
 	}
 
 	// Fell off the end of the block: resume at the next sequential PC.
 	s.PC = b.end
-	s.Retired += b.cost
-	done += b.cost
+	s.Retired += b.end - b.start
+	done += b.end - b.start
 	if b.next == nil {
 		if s.PC >= codeLen {
 			err = ErrPCOutOfRange{s.PC}
@@ -1092,13 +663,13 @@ taken:
 tail:
 	// The remaining budget does not cover the next block whole: retire the
 	// leftovers one instruction at a time through Step (identical
-	// semantics by contract), which also splits fused pairs cleanly.
+	// semantics by contract).
 	for done < maxInstructions && !s.Halted {
 		if s.PC >= codeLen {
 			err = ErrPCOutOfRange{s.PC}
 			goto out
 		}
-		if len(buf) >= cap(buf) {
+		if len(buf) == cap(buf) {
 			flush(buf)
 			buf = buf[:0]
 		}

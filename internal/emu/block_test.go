@@ -35,21 +35,35 @@ func sameState(a, b *State) bool {
 }
 
 // compareEngines runs prog through RunWarm (in chunks drawn from rng,
-// exercising budget truncation mid-block, fused-pair splits, and event
-// buffer flushes) and through the Step loop, in lockstep. Within every
-// chunk the block engine's warming events must equal, one for one, the
-// events warmEventFor derives from each instruction's pre-execution state
-// in the Step loop; at every chunk boundary the full architectural state
-// must match, and the memory images must match at the end. Every event
-// carries its PC and an operand-derived Aux, so this also pins the
-// retirement order and the pre-execution operands each instruction saw.
-// Returns an error description, or "" on success.
-func compareEngines(prog *isa.Program, budget uint64, rng *rand.Rand) string {
+// exercising budget truncation mid-block and event buffer flushes) and
+// through the Step loop, in lockstep. Within every chunk the block
+// engine's warming events must equal, one for one, the events
+// warmEventFor derives from each instruction's pre-execution state in the
+// Step loop; at every chunk boundary the full architectural state must
+// match, and the memory images must match at the end. Every event carries
+// its PC and an operand-derived Aux, so this also pins the retirement
+// order and the pre-execution operands each instruction saw.
+//
+// At the first chunk boundary at or past snapAt both machines are
+// snapshotted and keep running, so the block engine's translation slots
+// must follow the epoch change and the copy-on-write clones that follow;
+// the two snapshots must hash alike then and still hash the same at the
+// end. Returns an error description, or "" on success.
+func compareEngines(prog *isa.Program, budget, snapAt uint64, rng *rand.Rand) string {
 	blk := New(prog)
 	ref := New(prog)
 	var done uint64
 	var got, want []WarmEvent
+	var snap *Snapshot
+	var snapHash [32]byte
 	for done < budget && !blk.State.Halted {
+		if snap == nil && done >= snapAt {
+			snap = blk.Snapshot()
+			snapHash = hashOf(snap)
+			if hashOf(ref.Snapshot()) != snapHash {
+				return fmt.Sprintf("snapshots at %d differ between the engines", done)
+			}
+		}
 		chunk := uint64(1 + rng.Intn(700))
 		if rng.Intn(8) == 0 {
 			chunk = uint64(1 + rng.Intn(3*warmBufCap)) // spans buffer flushes
@@ -85,18 +99,23 @@ func compareEngines(prog *isa.Program, budget uint64, rng *rand.Rand) string {
 			return "block engine under-ran its budget without halting"
 		}
 	}
-	hb, err := blk.Snapshot().Hash()
-	if err != nil {
-		return "snapshot hash (block): " + err.Error()
+	if snap != nil && hashOf(snap) != snapHash {
+		return fmt.Sprintf("snapshot at %d changed after the machine ran on", snap.Retired)
 	}
-	hs, err := ref.Snapshot().Hash()
-	if err != nil {
-		return "snapshot hash (step): " + err.Error()
-	}
-	if hb != hs {
+	if hashOf(blk.Snapshot()) != hashOf(ref.Snapshot()) {
 		return "final memory images differ"
 	}
 	return ""
+}
+
+// hashOf returns the snapshot's content hash. Hashing an in-memory
+// snapshot cannot fail, so an error is a test bug.
+func hashOf(s *Snapshot) [32]byte {
+	h, err := s.Hash()
+	if err != nil {
+		panic(err)
+	}
+	return h
 }
 
 func errString(err error) string {
@@ -107,19 +126,15 @@ func errString(err error) string {
 }
 
 // TestBlockEngineMatchesStepOnSuite cross-checks the threaded-code engine
-// against the Step interpreter, event by event, on real suite kernels, with
-// random budget chunking so blocks are entered mid-stream and truncated
-// mid-block.
+// against the Step interpreter, event by event, on every suite kernel,
+// with random budget chunking so blocks are entered mid-stream and
+// truncated mid-block, and a snapshot taken halfway.
 func TestBlockEngineMatchesStepOnSuite(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for _, name := range []string{"gcc", "mcf", "xz", "aes-bitslice", "chacha20"} {
-		w, err := workloads.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, w := range workloads.All() {
 		p := w.Build(1 << 40)
-		if msg := compareEngines(p, 120_000, rng); msg != "" {
-			t.Errorf("%s: %s", name, msg)
+		if msg := compareEngines(p, 120_000, 60_000, rng); msg != "" {
+			t.Errorf("%s: %s", w.Name, msg)
 		}
 	}
 }
@@ -129,10 +144,10 @@ func TestBlockEngineMatchesStepOnSuite(t *testing.T) {
 // count, memory image, and identical errors (including ErrPCOutOfRange)
 // under random chunking.
 func TestBlockEngineMatchesStepQuick(t *testing.T) {
-	f := func(seed int64, chunkSeed int64) bool {
+	f := func(seed int64, chunkSeed int64, snapAt uint16) bool {
 		rng := rand.New(rand.NewSource(chunkSeed))
 		p := workloads.RandomProgram(seed, 60+int(uint64(seed)%140))
-		return compareEngines(p, 1_000_000, rng) == ""
+		return compareEngines(p, 1_000_000, uint64(snapAt), rng) == ""
 	}
 	cfg := &quick.Config{MaxCount: 40}
 	if testing.Short() {
@@ -141,6 +156,19 @@ func TestBlockEngineMatchesStepQuick(t *testing.T) {
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzBlockMatchesStep holds the block engine to the Step interpreter on
+// random programs under random chunking, with a snapshot taken between two
+// chunks so the translation slots' epoch protocol is fuzzed too.
+func FuzzBlockMatchesStep(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64, size uint8, chunkSeed int64, snapAt uint16) {
+		n := 20 + int(size)%180
+		p := workloads.RandomProgram(seed, n)
+		if msg := compareEngines(p, 200_000, uint64(snapAt), rand.New(rand.NewSource(chunkSeed))); msg != "" {
+			t.Fatalf("%s (size %d, chunk seed %d, snapshot at %d): %s", p.Name, n, chunkSeed, snapAt, msg)
+		}
+	})
 }
 
 // TestBlockEngineOutOfRange pins that running off the end of the code
@@ -299,18 +327,18 @@ func TestInvalidateCodeScope(t *testing.T) {
 	}
 }
 
-// TestInvalidateCodeSecondRange pins the multi-range overlap check: a
-// superblock that inlined a forward JAL spans two disjoint PC ranges, and
-// an invalidation touching only the second range (the jump target's code)
-// must still drop the block — a block keyed only by its entry range would
-// keep executing the stale decode of the patched instruction.
-func TestInvalidateCodeSecondRange(t *testing.T) {
+// TestInvalidateCodeJumpTarget pins invalidation at a forward jump's
+// target: the jump ends its block, the target's code lives in a second
+// block, and patching only the target must drop the cache so the new
+// code runs, while invalidating the skipped gap between the two blocks
+// drops nothing.
+func TestInvalidateCodeJumpTarget(t *testing.T) {
 	p := &isa.Program{Code: []isa.Instruction{
 		{Op: isa.ADDI, Rd: 1, Rs1: 1, Imm: 1},
-		{Op: isa.JAL, Imm: 3}, // forward to pc 4: inlined, opens a second range
+		{Op: isa.JAL, Imm: 3}, // forward to pc 4: ends the block at pc 0
 		{Op: isa.HALT},        // skipped, never decoded
 		{Op: isa.HALT},
-		{Op: isa.ADDI, Rd: 2, Rs1: 2, Imm: 7}, // patch target, second range only
+		{Op: isa.ADDI, Rd: 2, Rs1: 2, Imm: 7}, // patch target, in the block at pc 4
 		{Op: isa.HALT},
 	}}
 	e := New(p)
@@ -321,29 +349,29 @@ func TestInvalidateCodeSecondRange(t *testing.T) {
 		t.Fatalf("pre-patch r2 = %d, want 7", e.State.Regs[2])
 	}
 	b := e.blocks[0]
-	if b == nil || len(b.ranges) < 2 {
-		t.Fatalf("expected a superblock with an inlined jump (>= 2 ranges), got %+v", b)
+	if b == nil {
+		t.Fatal("expected a cached block at pc 0 after running")
 	}
 
-	// The gap between the ranges (the skipped pcs 2-3) overlaps nothing.
+	// The gap between the blocks (the skipped pcs 2-3) overlaps nothing.
 	e.InvalidateCode(2, 4)
 	if e.blocks == nil || e.blocks[0] != b {
-		t.Fatal("invalidating the inter-range gap dropped the cache")
+		t.Fatal("invalidating the skipped gap dropped the cache")
 	}
 
-	// pc 4 lives only in the block's second range; the overlap check must
-	// consult it, not just the entry range.
+	// pc 4 lives only in the jump target's block; the overlap check must
+	// consult every cached block, not just the entry block.
 	e.Prog.Code[4] = isa.Instruction{Op: isa.ADDI, Rd: 2, Rs1: 2, Imm: 100}
 	e.InvalidateCode(4, 5)
 	if e.blocks != nil {
-		t.Fatal("invalidating the second range of a superblock kept the cache")
+		t.Fatal("invalidating the jump target's code kept the cache")
 	}
 	resetTo(e)
 	if _, err := e.Run(100); err != nil {
 		t.Fatal(err)
 	}
 	if e.State.Regs[2] != 100 {
-		t.Fatalf("post-patch r2 = %d, want 100 (stale second-range decode executed)", e.State.Regs[2])
+		t.Fatalf("post-patch r2 = %d, want 100 (stale jump-target decode executed)", e.State.Regs[2])
 	}
 }
 

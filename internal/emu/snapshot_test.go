@@ -61,22 +61,29 @@ func TestInvalidateDropsStalePagePointers(t *testing.T) {
 // property: for random programs, running k steps, snapshotting, and
 // resuming from the snapshot reaches exactly the state an uninterrupted
 // run reaches — registers, PC, retirement count, halt flag, and memory.
+// k is drawn below the uninterrupted run's retired count, so every case
+// snapshots a machine that is still running.
 func TestSnapshotResumeMatchesUninterrupted(t *testing.T) {
 	f := func(seed int64, kRaw uint16) bool {
 		p := workloads.RandomProgram(seed, 40)
 		const budget = 2000
-		k := uint64(kRaw) % budget
 
 		ref := New(p)
-		if _, err := ref.Run(budget); err != nil {
+		n, err := ref.Run(budget)
+		if err != nil {
 			return true // programs that trap are outside this property
 		}
+		k := uint64(kRaw) % n
 
 		e := New(p)
 		if _, err := e.Run(k); err != nil {
 			return true
 		}
 		snap := e.Snapshot()
+		if snap.Halted {
+			t.Logf("seed %d k %d: snapshot of a halted machine", seed, k)
+			return false
+		}
 		if _, err := e.Run(budget - k); err != nil { // snapshotted machine keeps going
 			return true
 		}
@@ -163,5 +170,78 @@ func TestSnapshotMarshalRoundTrip(t *testing.T) {
 	}
 	if _, err := UnmarshalSnapshot([]byte("NOTASNAP")); err == nil {
 		t.Fatal("bad magic unmarshaled without error")
+	}
+}
+
+// TestSnapshotMidLoopKeepsSlotsCoherent pins the epoch protocol that
+// guards the block engine's per-µop translation slots. A loop loads and
+// stores one page; the machine is snapshotted mid-loop at several points
+// and keeps running to the end. A snapshot must expire every slot, or a
+// store slot keeps writing into the page the snapshot now shares; a
+// copy-on-write clone must expire them too, or a load slot keeps reading
+// the frozen original after the store moved to the clone.
+func TestSnapshotMidLoopKeepsSlotsCoherent(t *testing.T) {
+	const base = 0x10000
+	p := &isa.Program{
+		Code: []isa.Instruction{
+			{Op: isa.MOVI, Rd: 1, Imm: base},
+			{Op: isa.MOVI, Rd: 3, Imm: 1000},
+			{Op: isa.LD, Rd: 4, Rs1: 1},            // loop: r4 = mem[base]
+			{Op: isa.ADD, Rd: 9, Rs1: 9, Rs2: 4},   // r9 += r4
+			{Op: isa.ADDI, Rd: 2, Rs1: 2, Imm: 1},  // r2++
+			{Op: isa.ST, Rs1: 1, Rs2: 2},           // mem[base] = r2
+			{Op: isa.BLT, Rs1: 2, Rs2: 3, Imm: -4}, // while r2 < 1000
+			{Op: isa.HALT},
+		},
+		Data: []isa.Segment{{Addr: base, Bytes: make([]byte, 8)}},
+	}
+	ref := New(p)
+	if _, err := stepRun(ref, 1<<20, nil); err != nil || !ref.State.Halted {
+		t.Fatalf("reference did not halt: %v", err)
+	}
+	if got := ref.State.Regs[9]; got != 499500 {
+		t.Fatalf("reference r9 = %d, want 499500", got)
+	}
+	refHash := hashOf(ref.Snapshot())
+
+	e := New(p)
+	type taken struct {
+		snap *Snapshot
+		hash [32]byte
+		word uint64
+	}
+	var snaps []taken
+	for _, k := range []uint64{1, 3, 17, 501, 2000, 3333} {
+		if _, err := e.Run(k - e.State.Retired); err != nil {
+			t.Fatal(err)
+		}
+		s := e.Snapshot()
+		snaps = append(snaps, taken{s, hashOf(s), s.NewMemory().Read(base, 8)})
+	}
+	if _, err := e.Run(1 << 20); err != nil {
+		t.Fatal(err)
+	}
+	if !sameState(&e.State, &ref.State) {
+		t.Fatalf("machine snapshotted mid-loop ended with r9 = %d, pc %d, retired %d; reference r9 = %d, pc %d, retired %d",
+			e.State.Regs[9], e.State.PC, e.State.Retired, ref.State.Regs[9], ref.State.PC, ref.State.Retired)
+	}
+	if hashOf(e.Snapshot()) != refHash {
+		t.Fatal("memory of the machine snapshotted mid-loop differs from the reference")
+	}
+	for _, s := range snaps {
+		if hashOf(s.snap) != s.hash {
+			t.Fatalf("snapshot at %d changed after the machine ran on: word %d, now %d",
+				s.snap.Retired, s.word, s.snap.NewMemory().Read(base, 8))
+		}
+		r := NewFromSnapshot(p, s.snap)
+		if _, err := r.Run(1 << 20); err != nil {
+			t.Fatal(err)
+		}
+		if !sameState(&r.State, &ref.State) {
+			t.Fatalf("machine restored at %d ended with r9 = %d, reference %d", s.snap.Retired, r.State.Regs[9], ref.State.Regs[9])
+		}
+		if hashOf(r.Snapshot()) != refHash {
+			t.Fatalf("memory of the machine restored at %d differs from the reference", s.snap.Retired)
+		}
 	}
 }
