@@ -132,3 +132,90 @@ func TestSampleSpecValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestSampledGridOverStoreMatchesCells: a sampled grid whose cells take
+// their windows from one shared store walks each workload once, and every
+// cell is bit-identical (Result and stats dump) to the same cell run alone
+// on its own private walker, at any grid and window concurrency.
+func TestSampledGridOverStoreMatchesCells(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow")
+	}
+	kernels := []string{"mcf", "gcc", "chacha20"}
+	sample := spt.SampleSpec{Intervals: 4, Warmup: 100, Detail: 400}
+	var jobs []spt.Job
+	for _, w := range kernels {
+		for _, s := range []spt.Scheme{spt.UnsafeBaseline, spt.SPTFull, spt.STT} {
+			for _, m := range spt.AttackModels() {
+				jobs = append(jobs, spt.Job{Workload: w, Scheme: s, Model: m, Width: 3, Budget: 40_000, Sample: sample})
+			}
+		}
+	}
+	type cell struct {
+		res  spt.Result
+		dump string
+	}
+	split := func(r *spt.Result) cell {
+		dump, err := r.Stats.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := cell{res: *r, dump: dump}
+		c.res.Host = spt.HostStats{}
+		return c
+	}
+	alone := make(map[spt.Job]cell, len(jobs))
+	for _, j := range jobs {
+		r, err := spt.Run(j.Workload, spt.Options{
+			Scheme: j.Scheme, Model: j.Model, UntaintBroadcastWidth: j.Width,
+			MaxInstructions: j.Budget, Sample: j.Sample,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		alone[j] = split(r)
+	}
+	for _, gridJobs := range []int{1, 8} {
+		for _, windowJobs := range []int{1, 4} {
+			store := spt.NewCheckpointStore("")
+			res, err := spt.RunJobs(jobs, spt.EvalOptions{Jobs: gridJobs, WindowJobs: windowJobs, Checkpoints: store})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, j := range jobs {
+				got := split(res[j])
+				if !reflect.DeepEqual(got.res, alone[j].res) {
+					t.Errorf("Jobs %d, WindowJobs %d: %v: result differs from the cell run alone", gridJobs, windowJobs, j)
+				}
+				if got.dump != alone[j].dump {
+					t.Errorf("Jobs %d, WindowJobs %d: %v: stats dump differs from the cell run alone", gridJobs, windowJobs, j)
+				}
+			}
+			if b := store.Stats().Builds; b != uint64(len(kernels)) {
+				t.Errorf("Jobs %d, WindowJobs %d: Builds = %d, want %d (one walk per workload)", gridJobs, windowJobs, b, len(kernels))
+			}
+		}
+	}
+}
+
+// TestSampledFigure7WalksEachKernelOnce: the sampled Figure 7 grid at the
+// benchmark's size (19 kernels x 8 schemes, 250k budget, sample 4:100:400)
+// over a supplied store walks each kernel's prefix once: 19 passes, not
+// 152.
+func TestSampledFigure7WalksEachKernelOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow")
+	}
+	store := spt.NewCheckpointStore("")
+	fig, err := spt.RunFigure7(spt.Futuristic, spt.EvalOptions{
+		Budget:      250_000,
+		Sample:      spt.SampleSpec{Intervals: 4, Warmup: 100, Detail: 400},
+		Checkpoints: store,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b := store.Stats().Builds; b != uint64(len(fig.Rows)) {
+		t.Errorf("Builds = %d for %d kernels x %d schemes, want %d", b, len(fig.Rows), len(fig.Schemes), len(fig.Rows))
+	}
+}

@@ -10,7 +10,10 @@ import (
 // Share one store across a grid (EvalOptions.Checkpoints, or the default
 // RunJobs wiring) and each distinct (workload, skip distance, program
 // content) prefix executes exactly once no matter how many scheme x model
-// cells restore from it, concurrently or not.
+// cells restore from it, concurrently or not. Sampled runs share it too:
+// the store keeps one warm walker per program, extends it from window to
+// window, and caches each window's checkpoint, so a sampled grid walks
+// each workload's prefix once instead of once per cell.
 type CheckpointStore struct {
 	inner *checkpoint.Store
 }
@@ -27,8 +30,10 @@ func NewCheckpointStore(dir string) *CheckpointStore {
 
 // CheckpointStoreStats counts store activity. Builds is the number of
 // functional passes executed — for a shared store over an N-scheme x
-// M-model grid it equals the number of distinct workload prefixes, the
-// direct evidence each prefix ran once, not NxM times.
+// M-model grid it equals the number of distinct workload prefixes, or for
+// a sampled grid the number of workloads, the direct evidence each prefix
+// ran once, not NxM times. A sampled run that asks for a window behind the
+// store's walk starts one more pass.
 type CheckpointStoreStats struct {
 	Builds    uint64 // functional fast-forward passes executed
 	MemHits   uint64 // checkpoints served from memory
@@ -56,4 +61,25 @@ func (o Options) checkpointFor(p *isa.Program) (*checkpoint.Checkpoint, error) {
 		return o.Checkpoints.inner.Get(p, o.SkipInstructions, hcfg, true)
 	}
 	return checkpoint.Build(p, o.SkipInstructions, hcfg, true)
+}
+
+// windowCheckpoints returns the source of a sampled run's window
+// checkpoints, asked for in ascending skip order. With a store it takes
+// them from the store's kept walker for p, hashing p once for the whole
+// run; without one it walks a private walker.
+func (o Options) windowCheckpoints(p *isa.Program, hcfg mem.HierarchyConfig) func(skip uint64) (*checkpoint.Checkpoint, error) {
+	if o.Checkpoints != nil {
+		key := checkpoint.KeyFor(p, 0, hcfg, true)
+		return func(skip uint64) (*checkpoint.Checkpoint, error) {
+			key.Skip = skip
+			return o.Checkpoints.inner.Window(p, key)
+		}
+	}
+	w := checkpoint.NewWalker(p, hcfg, true)
+	return func(skip uint64) (*checkpoint.Checkpoint, error) {
+		if err := w.Advance(skip); err != nil {
+			return nil, err
+		}
+		return w.Checkpoint(), nil
+	}
 }

@@ -159,10 +159,13 @@ type Options struct {
 	// SkipInstructions and WarmupInstructions.
 	Sample SampleSpec
 	// Checkpoints, if non-nil, caches fast-forward checkpoints so runs
-	// sharing a (workload, skip) prefix execute it once. Grid harnesses
-	// (RunJobs and the figure harnesses) wire a shared store automatically
-	// when Skip is set; set this to also share across separate calls or to
-	// use an on-disk cache directory.
+	// sharing a (workload, skip) prefix execute it once. Sampled runs take
+	// their window checkpoints from it too: the store extends one kept walk
+	// per workload, so sampled runs of one workload walk its prefix once
+	// between them. Grid harnesses (RunJobs and the figure harnesses) wire a
+	// shared store automatically when Skip or Sample is set; set this to
+	// also share across separate calls or to use an on-disk cache directory
+	// (which only Skip runs use).
 	Checkpoints *CheckpointStore
 
 	// Jobs is the number of measured windows a sampled run simulates

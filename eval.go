@@ -45,11 +45,16 @@ type EvalOptions struct {
 	// per workload for the whole grid.
 	Skip uint64
 	// Sample runs every cell in SMARTS-style sampled mode (Options.Sample).
-	// Mutually exclusive with Skip.
+	// Cells sharing a workload take their windows from one shared walk of
+	// its prefix. Mutually exclusive with Skip.
 	Sample SampleSpec
 	// Checkpoints, if non-nil, supplies the checkpoint store grid cells
-	// share (e.g. NewCheckpointStore with an on-disk directory). Nil with
-	// Skip set uses an ephemeral in-memory store per harness call.
+	// share (e.g. NewCheckpointStore with an on-disk directory); it keeps
+	// everything the grid put in it. Nil with Skip or Sample set uses an
+	// ephemeral in-memory store per harness call, which drops a workload's
+	// checkpoints and kept walk once the workload's last cell has returned.
+	// Either way a Skip prefix runs once per workload and a sampled walk
+	// once per workload, for the whole grid.
 	Checkpoints *CheckpointStore
 }
 
@@ -134,7 +139,7 @@ func RunFigure7(model AttackModel, opt EvalOptions) (*Figure7, error) {
 			jobs = append(jobs, cell(name, s))
 		}
 	}
-	results, err := runGrid(jobs, opt, jobRunner(jobs, opt))
+	results, err := runGrid(jobs, opt, newJobRunner(jobs, opt).run)
 	if err != nil {
 		return nil, err
 	}
@@ -266,7 +271,7 @@ func RunFigure8(opt EvalOptions) ([]Figure8Row, error) {
 			jobs = append(jobs, cell(name, model))
 		}
 	}
-	results, err := runGrid(jobs, opt, jobRunner(jobs, opt))
+	results, err := runGrid(jobs, opt, newJobRunner(jobs, opt).run)
 	if err != nil {
 		return nil, err
 	}
@@ -352,7 +357,7 @@ func RunFigure9(opt EvalOptions) ([]Figure9Row, error) {
 	for _, name := range names {
 		jobs = append(jobs, cell(name))
 	}
-	results, err := runGrid(jobs, opt, jobRunner(jobs, opt))
+	results, err := runGrid(jobs, opt, newJobRunner(jobs, opt).run)
 	if err != nil {
 		return nil, err
 	}
@@ -459,7 +464,7 @@ func RunStatsBreakdown(model AttackModel, opt EvalOptions) (*StatsBreakdown, err
 			jobs = append(jobs, cell(name, s))
 		}
 	}
-	results, err := runGrid(jobs, opt, jobRunner(jobs, opt))
+	results, err := runGrid(jobs, opt, newJobRunner(jobs, opt).run)
 	if err != nil {
 		return nil, err
 	}
@@ -546,7 +551,7 @@ func RunWidthSweep(widths []int, opt EvalOptions) ([]WidthSweepRow, error) {
 			jobs = append(jobs, cell(name, w))
 		}
 	}
-	results, err := runGrid(jobs, opt, jobRunner(jobs, opt))
+	results, err := runGrid(jobs, opt, newJobRunner(jobs, opt).run)
 	if err != nil {
 		return nil, err
 	}

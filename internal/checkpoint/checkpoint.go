@@ -17,7 +17,8 @@
 //     immutable template: Materialize hands out per-core copies, so one
 //     checkpoint boots any number of detailed cores, concurrently.
 //   - Store (store.go) caches checkpoints in memory (build-once per key
-//     under concurrency) and persists architectural snapshots on disk.
+//     under concurrency), keeps one walker per program that sampled
+//     windows extend, and persists architectural snapshots on disk.
 package checkpoint
 
 import (

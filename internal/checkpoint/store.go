@@ -16,18 +16,29 @@ import (
 	"spt/internal/mem"
 )
 
-// Key identifies one checkpoint: which workload, how far in, and the exact
-// program contents (so regenerated workloads never hit stale entries).
+// Key identifies one checkpoint: which workload, how far in, the exact
+// program contents (so regenerated workloads never hit stale entries), and
+// the warm state it carries: none, or a hierarchy built from Hier.
 type Key struct {
 	Workload string
 	Skip     uint64
 	Hash     [32]byte
+	Warm     bool
+	Hier     mem.HierarchyConfig
+}
+
+// KeyFor returns the key of p's checkpoint after skip instructions. It
+// hashes p, so a caller that asks for many checkpoints of one program
+// makes the key once and changes only Skip (see Store.Window).
+func KeyFor(p *isa.Program, skip uint64, hcfg mem.HierarchyConfig, warm bool) Key {
+	return Key{Workload: p.Name, Skip: skip, Hash: ProgramHash(p), Warm: warm, Hier: hcfg}
 }
 
 // StoreStats counts what the store did. Builds is the number of functional
 // passes actually executed — a grid over N schemes x M models that shares a
-// store shows Builds == number of distinct (workload, skip) prefixes, the
-// direct evidence that each prefix ran exactly once.
+// store shows Builds == number of distinct (workload, skip) prefixes, or,
+// for sampled windows, the number of programs: the direct evidence that
+// each prefix ran exactly once.
 type StoreStats struct {
 	Builds    uint64 // functional passes executed
 	MemHits   uint64 // checkpoints served from memory
@@ -36,9 +47,15 @@ type StoreStats struct {
 }
 
 // Store caches checkpoints. In memory it is a build-once map: concurrent
-// Gets for one key block on a single builder (singleflight), so a parallel
-// grid executes each workload prefix exactly once. With a directory
-// configured, architectural snapshots also persist across processes.
+// requests for one key block on a single builder (singleflight), so a
+// parallel grid executes each workload prefix exactly once. With a
+// directory configured, Get's architectural snapshots also persist across
+// processes.
+//
+// For sampled windows (Window) the store also keeps one walker per
+// program and warm state: the walker of the furthest window it has
+// produced, which the next window extends instead of walking the prefix
+// again.
 //
 // Disk files hold only architectural state (pages, registers, PC) — warm
 // cache/predictor state is rebuilt by functional replay when requested, and
@@ -49,6 +66,7 @@ type Store struct {
 
 	mu      sync.Mutex
 	entries map[Key]*storeEntry
+	walkers map[Key]*keptWalker // keyed with Skip 0
 
 	builds    atomic.Uint64
 	memHits   atomic.Uint64
@@ -62,10 +80,17 @@ type storeEntry struct {
 	err   error
 }
 
+// keptWalker is a walker the store extends from window to window. mu
+// serializes its use: a walk is one sequential pass.
+type keptWalker struct {
+	mu sync.Mutex
+	w  *Walker // nil until the first window, and after a failed one
+}
+
 // NewStore returns a store. dir is the on-disk cache directory; empty means
 // memory-only. The directory is created on first save.
 func NewStore(dir string) *Store {
-	return &Store{dir: dir, entries: make(map[Key]*storeEntry)}
+	return &Store{dir: dir, entries: make(map[Key]*storeEntry), walkers: make(map[Key]*keptWalker)}
 }
 
 // Stats returns a snapshot of the store's counters.
@@ -82,10 +107,59 @@ func (s *Store) Stats() StoreStats {
 // at most once per key no matter how many goroutines ask. With warm set the
 // checkpoint carries functionally warmed hierarchy/predictor state (built
 // from hcfg); without it, a disk file can satisfy the request with no
-// functional pass at all.
+// functional pass at all. Each new key is one fresh pass from reset; the
+// walker is not kept.
 func (s *Store) Get(p *isa.Program, skip uint64, hcfg mem.HierarchyConfig, warm bool) (*Checkpoint, error) {
-	key := Key{Workload: p.Name, Skip: skip, Hash: ProgramHash(p)}
+	key := KeyFor(p, skip, hcfg, warm)
+	return s.once(key, func() (*Checkpoint, error) { return s.build(key, p) })
+}
 
+// Window returns the checkpoint for key, a key of p (from KeyFor) whose
+// Skip is the start of a sampled window. A window not cached yet extends
+// the store's kept walker for p to key.Skip; if that walker is already
+// past key.Skip, a fresh pass from reset builds the window, and the kept
+// walker stays where it was. Either way the checkpoint is exactly what
+// Build(p, key.Skip, key.Hier, key.Warm) returns.
+//
+// A walk never restarts from a stored checkpoint: Hierarchy.Clone drops
+// the MSHR table, so a walker rebuilt from a checkpoint drifts away from
+// the continuous walk that Build makes.
+func (s *Store) Window(p *isa.Program, key Key) (*Checkpoint, error) {
+	return s.once(key, func() (*Checkpoint, error) {
+		wkey := key
+		wkey.Skip = 0
+		s.mu.Lock()
+		kw := s.walkers[wkey]
+		if kw == nil {
+			kw = &keptWalker{}
+			s.walkers[wkey] = kw
+		}
+		s.mu.Unlock()
+
+		kw.mu.Lock()
+		defer kw.mu.Unlock()
+		w := kw.w
+		if w == nil || w.Em.State.Retired > key.Skip {
+			w = NewWalker(p, key.Hier, key.Warm)
+			s.builds.Add(1)
+		}
+		if err := w.Advance(key.Skip); err != nil {
+			if w == kw.w {
+				kw.w = nil
+			}
+			return nil, err
+		}
+		if kw.w == nil {
+			kw.w = w
+		}
+		return w.Checkpoint(), nil
+	})
+}
+
+// once returns key's checkpoint, running build at most once per key no
+// matter how many goroutines ask; the others wait for it and count a
+// memory hit.
+func (s *Store) once(key Key, build func() (*Checkpoint, error)) (*Checkpoint, error) {
 	s.mu.Lock()
 	if e, ok := s.entries[key]; ok {
 		s.mu.Unlock()
@@ -99,29 +173,67 @@ func (s *Store) Get(p *isa.Program, skip uint64, hcfg mem.HierarchyConfig, warm 
 	s.entries[key] = e
 	s.mu.Unlock()
 
-	e.cp, e.err = s.build(key, p, skip, hcfg, warm)
+	e.cp, e.err = build()
 	if e.err != nil {
 		// Drop failed entries so a later call can retry (e.g. after the
 		// user deletes a corrupt file).
 		s.mu.Lock()
-		delete(s.entries, key)
+		if s.entries[key] == e {
+			delete(s.entries, key)
+		}
 		s.mu.Unlock()
 	}
 	close(e.ready)
 	return e.cp, e.err
 }
 
-func (s *Store) build(key Key, p *isa.Program, skip uint64, hcfg mem.HierarchyConfig, warm bool) (*Checkpoint, error) {
+// Release drops every checkpoint and kept walker the store holds for
+// workload, so their memory can be reclaimed once nothing will ask for
+// that workload again. A later request builds from reset.
+func (s *Store) Release(workload string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for k := range s.entries {
+		if k.Workload == workload {
+			delete(s.entries, k)
+		}
+	}
+	for k := range s.walkers {
+		if k.Workload == workload {
+			delete(s.walkers, k)
+		}
+	}
+}
+
+// Holds reports whether the store holds a checkpoint or a kept walker for
+// workload.
+func (s *Store) Holds(workload string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for k := range s.entries {
+		if k.Workload == workload {
+			return true
+		}
+	}
+	for k := range s.walkers {
+		if k.Workload == workload {
+			return true
+		}
+	}
+	return false
+}
+
+func (s *Store) build(key Key, p *isa.Program) (*Checkpoint, error) {
 	disk, diskErr := s.load(key)
 	if diskErr != nil {
 		return nil, diskErr
 	}
-	if disk != nil && !warm {
+	if disk != nil && !key.Warm {
 		s.diskHits.Add(1)
 		return &Checkpoint{Snap: disk}, nil
 	}
 
-	cp, err := Build(p, skip, hcfg, warm)
+	cp, err := Build(p, key.Skip, key.Hier, key.Warm)
 	if err != nil {
 		return nil, err
 	}

@@ -65,7 +65,11 @@ type HostStats struct {
 	// detailed region's own time. For serial runs CPUSeconds ≈ Seconds
 	// (plus the fast-forward pass, which Seconds excludes for checkpointed
 	// runs); for parallel-window sampled runs CPUSeconds exceeds Seconds,
-	// and their ratio is the effective parallel speedup.
+	// and their ratio is the effective parallel speedup. When runs share a
+	// CheckpointStore, a functional pass is charged to the run that
+	// executed it: for a sampled run, the run that extended the store's walk
+	// to a window. Runs served from the store count only the time they
+	// waited for it.
 	CPUSeconds float64
 	// SimKIPS is simulated (retired) kilo-instructions per host CPU second
 	// of detailed simulation — per-core simulator throughput, independent

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 )
 
@@ -25,7 +26,9 @@ type Job struct {
 	// (Options.SkipInstructions); cells sharing a (workload, skip) prefix
 	// share one checkpoint when the grid carries a store.
 	Skip uint64
-	// Sample enables sampled simulation for the cell (Options.Sample).
+	// Sample enables sampled simulation for the cell (Options.Sample);
+	// cells of one workload take their windows from one shared walk when
+	// the grid carries a store.
 	Sample SampleSpec
 }
 
@@ -65,38 +68,67 @@ func (j Job) options() Options {
 // grid. Duplicate jobs are simulated once. On error the first failure in
 // grid order is returned and the partial results are discarded.
 func RunJobs(jobs []Job, opt EvalOptions) (map[Job]*Result, error) {
-	return runGrid(jobs, opt, jobRunner(jobs, opt))
+	return runGrid(jobs, opt, newJobRunner(jobs, opt).run)
 }
 
-// runJob simulates one grid cell.
-func runJob(j Job) (*Result, error) { return Run(j.Workload, j.options()) }
+// jobRunner runs the cells of one grid. When any cell fast-forwards or
+// samples, the cells share a checkpoint store (opt.Checkpoints, or the
+// runner's own in-memory one), so each distinct workload prefix executes
+// once for the whole grid instead of once per cell: a Skip prefix once per
+// (workload, skip), a sampled walk once per workload. The runner's own
+// store forgets a workload once the last of its cells has returned,
+// failed or not, so a grid holds the checkpoints and kept walkers of only
+// the workloads still running; a store the caller supplies is never
+// pruned. The harness context and per-cell window concurrency
+// (opt.WindowJobs) flow into every cell's Options, so sampled cells can
+// overlap their measured windows and a cancelled harness also aborts the
+// simulation it is inside of.
+type jobRunner struct {
+	opt   EvalOptions
+	store *CheckpointStore
 
-// jobRunner returns the per-cell runner for a grid. When any cell
-// fast-forwards, the cells share a checkpoint store (opt.Checkpoints, or an
-// ephemeral in-memory one) so each distinct workload prefix executes once
-// for the whole grid instead of once per cell. The harness context and
-// per-cell window concurrency (opt.WindowJobs) flow into every cell's
-// Options, so sampled cells can overlap their measured windows and a
-// cancelled harness also aborts the simulation it is inside of.
-func jobRunner(jobs []Job, opt EvalOptions) func(Job) (*Result, error) {
-	store := opt.Checkpoints
-	if store == nil {
-		for _, j := range jobs {
-			if j.Skip > 0 {
-				store = NewCheckpointStore("")
-				break
-			}
+	mu   sync.Mutex
+	left map[string]int // own store only: cells per workload not yet returned
+}
+
+func newJobRunner(jobs []Job, opt EvalOptions) *jobRunner {
+	r := &jobRunner{opt: opt, store: opt.Checkpoints}
+	if r.store != nil || !slices.ContainsFunc(jobs, func(j Job) bool { return j.Skip > 0 || j.Sample.enabled() }) {
+		return r
+	}
+	r.store = NewCheckpointStore("")
+	r.left = make(map[string]int)
+	// Count distinct jobs: the pool simulates a duplicate once.
+	seen := make(map[Job]bool, len(jobs))
+	for _, j := range jobs {
+		if !seen[j] {
+			seen[j] = true
+			r.left[j.Workload]++
 		}
 	}
-	if store == nil && opt.WindowJobs == 0 && opt.Context == nil {
-		return runJob
+	return r
+}
+
+// run simulates one grid cell.
+func (r *jobRunner) run(j Job) (*Result, error) {
+	if r.left != nil {
+		defer r.done(j.Workload)
 	}
-	return func(j Job) (*Result, error) {
-		o := j.options()
-		o.Checkpoints = store
-		o.Jobs = opt.WindowJobs
-		o.Context = opt.Context
-		return Run(j.Workload, o)
+	o := j.options()
+	o.Checkpoints = r.store
+	o.Jobs = r.opt.WindowJobs
+	o.Context = r.opt.Context
+	return Run(j.Workload, o)
+}
+
+// done counts one returned cell of workload and releases the workload from
+// the runner's own store after its last cell.
+func (r *jobRunner) done(workload string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.left[workload]--
+	if r.left[workload] == 0 {
+		r.store.inner.Release(workload)
 	}
 }
 

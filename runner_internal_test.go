@@ -360,3 +360,60 @@ func TestRunJobsReal(t *testing.T) {
 		t.Error("grid result differs from a direct Run of the same cell")
 	}
 }
+
+// TestJobRunnerReleasesOwnStore: the store a sampled grid's runner makes
+// for itself holds a workload's checkpoints and kept walker only until the
+// workload's last cell has returned, whether that cell succeeded or
+// failed; a store the caller supplies is never pruned.
+func TestJobRunnerReleasesOwnStore(t *testing.T) {
+	sample := SampleSpec{Intervals: 2, Warmup: 100, Detail: 400}
+	cell := func(w string, s Scheme) Job {
+		return Job{Workload: w, Scheme: s, Model: Futuristic, Width: 3, Budget: 8_000, Sample: sample}
+	}
+	jobs := []Job{
+		cell("mcf", UnsafeBaseline),
+		cell("gcc", UnsafeBaseline),
+		cell("mcf", SPTFull),
+		cell("mcf", SPTFull), // a duplicate runs once
+		// An unknown scheme fails after taking its first window from
+		// the store: gcc's last cell returns an error.
+		cell("gcc", "no-such-scheme"),
+	}
+
+	r := newJobRunner(jobs, EvalOptions{})
+	if r.store == nil {
+		t.Fatal("a sampled grid's runner has no store")
+	}
+	// After the n-th returned cell (Jobs 1 runs them in grid order), which
+	// workloads the store may still hold.
+	want := []map[string]bool{
+		{"mcf": true, "gcc": false},
+		{"mcf": true, "gcc": true},
+		{"mcf": false, "gcc": true},
+		{"mcf": false, "gcc": false},
+	}
+	progress := func(done, _ int, j Job) {
+		for w, held := range want[done-1] {
+			if got := r.store.inner.Holds(w); got != held {
+				t.Errorf("after %v returned: store holds %s = %v, want %v", j, w, got, held)
+			}
+		}
+	}
+	if _, err := runGrid(jobs, EvalOptions{Jobs: 1, Progress: progress}, r.run); err == nil {
+		t.Fatal("grid with an unknown scheme succeeded")
+	}
+
+	supplied := NewCheckpointStore("")
+	r = newJobRunner(jobs[:3], EvalOptions{Checkpoints: supplied})
+	if r.store != supplied {
+		t.Fatal("runner did not use the supplied store")
+	}
+	if _, err := runGrid(jobs[:3], EvalOptions{Jobs: 2}, r.run); err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []string{"mcf", "gcc"} {
+		if !supplied.inner.Holds(w) {
+			t.Errorf("supplied store was pruned of %s", w)
+		}
+	}
+}

@@ -183,13 +183,18 @@ func runWindow(ctx context.Context, p *isa.Program, o Options, cfg pipeline.Conf
 }
 
 // runSampled is the sampled-simulation driver behind Run: one functional
-// walker pass over the budget, checkpointing at each interval's window and
-// booting a detailed core from the warm checkpoint. With Options.Jobs > 1
-// the walker becomes a streaming producer and up to Jobs windows simulate
-// concurrently, each on its own copy-on-write snapshot and cloned warm
-// state. Fully deterministic at any Jobs value: the walker, the
-// checkpoints, and each detailed window depend only on the program and
-// options, and aggregation always runs in window-index order.
+// walk over the budget, checkpointing at each interval's window and
+// booting a detailed core from the warm checkpoint. With
+// Options.Checkpoints set, window i's checkpoint comes from the store,
+// whose kept walker for the program serves every run of it, so a grid
+// walks each prefix once rather than once per cell; without a store the
+// run walks a private walker. With Options.Jobs > 1 the walk becomes a
+// streaming producer and up to Jobs windows simulate concurrently, each on
+// its own copy-on-write snapshot and cloned warm state. Fully
+// deterministic at any Jobs value, with or without a store: each window's
+// checkpoint equals a fresh checkpoint.Build at the window's start, each
+// detailed window depends only on that checkpoint and the options, and
+// aggregation always runs in window-index order.
 func runSampled(p *isa.Program, o Options) (*Result, error) {
 	spec, err := o.Sample.normalized(o.MaxInstructions)
 	if err != nil {
@@ -219,7 +224,7 @@ func runSampled(p *isa.Program, o Options) (*Result, error) {
 	}
 
 	hostStart := time.Now()
-	w := checkpoint.NewWalker(p, hcfg, true)
+	window := o.windowCheckpoints(p, hcfg)
 	results := make([]*windowRun, spec.Intervals)
 	var walkSeconds float64
 
@@ -232,10 +237,10 @@ func runSampled(p *isa.Program, o Options) (*Result, error) {
 				return nil, context.Cause(ctx)
 			}
 			t0 := time.Now()
-			if err := w.Advance(windowStart(i)); err != nil {
+			cp, err := window(windowStart(i))
+			if err != nil {
 				return nil, err
 			}
-			cp := w.Checkpoint()
 			walkSeconds += time.Since(t0).Seconds()
 			r, err := runWindow(ctx, p, o, cfg, hcfg, spec, i, cp)
 			if err != nil {
@@ -247,10 +252,10 @@ func runSampled(p *isa.Program, o Options) (*Result, error) {
 			results[i] = r
 		}
 	} else {
-		// Concurrent: this goroutine is the producer — it walks the program
-		// serially (the walker is inherently sequential) and feeds each
-		// window's checkpoint to a worker pool. Workers never share state:
-		// every window gets its own CoW snapshot and warm-state clones.
+		// Concurrent: this goroutine is the producer — it takes the window
+		// checkpoints in order (a walk is inherently sequential) and feeds
+		// each to a worker pool. Workers never share state: every window
+		// gets its own CoW snapshot and warm-state clones.
 		//
 		// Error semantics mirror the serial path deterministically: windows
 		// are produced in index order and every produced window runs to
@@ -288,11 +293,11 @@ func runSampled(p *isa.Program, o Options) (*Result, error) {
 		var prodErr error
 		for i := 0; i < spec.Intervals && !stop.Load() && ctx.Err() == nil; i++ {
 			t0 := time.Now()
-			if err := w.Advance(windowStart(i)); err != nil {
+			cp, err := window(windowStart(i))
+			if err != nil {
 				prodErr = err
 				break
 			}
-			cp := w.Checkpoint()
 			walkSeconds += time.Since(t0).Seconds()
 			feed <- windowJob{idx: i, cp: cp}
 		}
@@ -358,9 +363,10 @@ func runSampled(p *isa.Program, o Options) (*Result, error) {
 	}
 	res.Stats.Engine = EngineVersion
 	// Seconds is wall clock for the whole sampled run; CPUSeconds aggregates
-	// the walker pass plus every window's own simulation time, so the two
-	// split apart exactly when windows overlap (their ratio is the effective
-	// parallel speedup).
+	// the time spent getting window checkpoints (walking, or waiting on the
+	// store for the run that walks) plus every window's own simulation time,
+	// so the two split apart exactly when windows overlap (their ratio is the
+	// effective parallel speedup).
 	res.Host.Seconds = hostSeconds
 	res.Host.CPUSeconds = cpuSeconds
 	if cpuSeconds > 0 && detailed > 0 {
