@@ -8,7 +8,6 @@
 //	spt-bench -what width     # §9.4 broadcast width sweep
 //	spt-bench -what stats     # Fig. 10-style "where did the slowdown go" breakdown
 //	spt-bench -what pentest   # §9.1 penetration testing
-//	spt-bench -what perf      # simulator-throughput suite (host-side)
 //	spt-bench -what all       # everything
 //
 // -budget scales the per-run retired-instruction count (the SimPoint
@@ -16,16 +15,13 @@
 // simulations run concurrently (0 = one per core, 1 = sequential — the
 // figures are bit-identical either way); -window-jobs additionally overlaps
 // each sampled run's measured windows (also bit-identical); -progress
-// reports grid completion on stderr. -json switches the perf report to
-// JSON. -cpuprofile/-memprofile write pprof profiles of the whole
-// invocation. The repository's benchmark is bench/run.sh (bench/README.md),
-// not this command.
+// reports grid completion on stderr. -cpuprofile/-memprofile write pprof
+// profiles of the whole invocation. The repository's benchmark is
+// bench/run.sh (bench/README.md), not this command.
 //
 // -skip fast-forwards every run past a functional prefix (executed once per
 // workload and shared across the grid), and -sample replaces each detailed
-// run with a SMARTS-style sampled estimate. With either flag,
-// `-what perf` reports effective sim-KIPS including fast-forwarded
-// instructions.
+// run with a SMARTS-style sampled estimate.
 package main
 
 import (
@@ -48,7 +44,7 @@ import (
 
 func main() {
 	var (
-		what       = flag.String("what", "all", "machine|configs|fig7|fig8|fig9|width|stats|pentest|perf|all")
+		what       = flag.String("what", "all", "machine|configs|fig7|fig8|fig9|width|stats|pentest|all")
 		budget     = flag.Uint64("budget", 120_000, "retired instructions per run")
 		workloads  = flag.String("workloads", "", "comma-separated subset (default: all)")
 		jobs       = flag.Int("jobs", 0, "concurrent simulations (0 = one per core, 1 = sequential)")
@@ -56,7 +52,6 @@ func main() {
 		skip       = flag.Uint64("skip", 0, "fast-forward this many instructions functionally before each detailed run")
 		sample     = flag.String("sample", "", "SMARTS sampling spec: \"intervals\" or \"intervals:warmup:detail\"")
 		progress   = flag.Bool("progress", false, "report per-simulation grid progress on stderr")
-		jsonOut    = flag.Bool("json", false, "emit the perf report as JSON")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -179,22 +174,6 @@ func main() {
 		return nil
 	})
 	run("pentest", runPentest)
-	run("perf", func() error {
-		rep, err := spt.RunPerf(opt)
-		if err != nil {
-			return err
-		}
-		if *jsonOut {
-			s, err := rep.JSON()
-			if err != nil {
-				return err
-			}
-			fmt.Print(s)
-			return nil
-		}
-		fmt.Println(rep.Text())
-		return nil
-	})
 }
 
 func runPentest() error {

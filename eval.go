@@ -31,8 +31,10 @@ type EvalOptions struct {
 	// prefer WindowJobs when the grid is small and Jobs when it is large.
 	// Results are bit-identical for every value. Ignored without Sample.
 	WindowJobs int
-	// Context, if non-nil, cancels an in-flight evaluation between
-	// simulations (an individual simulation is not interruptible).
+	// Context, if non-nil, cancels an in-flight evaluation: no further
+	// simulation starts, and each running one stops at its next check of
+	// Options.Context (between sample windows and every few thousand
+	// simulated cycles; a functional fast-forward prefix runs to its end).
 	Context context.Context
 	// Progress, if non-nil, is called after each executed simulation
 	// (successful or failed) with the number done so far, the grid total,

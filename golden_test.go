@@ -133,21 +133,6 @@ func TestGoldenCampaignReport(t *testing.T) {
 	checkGolden(t, "campaign_report.golden", rep.Text())
 }
 
-// TestGoldenPerfReport pins the deterministic projection of the perf
-// report: simulated cycle/instruction/IPC columns byte-for-byte, host-time
-// fields zeroed (they vary by machine, so the golden excludes them).
-func TestGoldenPerfReport(t *testing.T) {
-	rep, err := spt.RunPerf(spt.EvalOptions{Budget: 6_000, Workloads: []string{"mcf", "xz", "chacha20"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	js, err := rep.Deterministic().JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "perf_report.golden", js)
-}
-
 func TestGoldenStatsBreakdown(t *testing.T) {
 	bd, err := spt.RunStatsBreakdown(spt.Futuristic, goldenOpt())
 	if err != nil {

@@ -45,24 +45,3 @@ func TestDeterministicResultZerosHostStats(t *testing.T) {
 		t.Fatal("deterministicResult mutated the original or lost data")
 	}
 }
-
-func TestQueueDepthAccessor(t *testing.T) {
-	release := make(chan struct{})
-	run, _ := blockingRun(release)
-	s := newTestServer(t, Config{Workers: 1}, run)
-	defer func() { close(release); shutdownNow(t, s) }()
-
-	if d := s.QueueDepth(); d != 0 {
-		t.Fatalf("fresh server queue depth %d", d)
-	}
-	if _, err := s.Submit(gridSpec("mcf", 1000)); err != nil {
-		t.Fatal(err)
-	}
-	waitForRunning(t, s)
-	if _, err := s.Submit(gridSpec("mcf", 2000)); err != nil {
-		t.Fatal(err)
-	}
-	if d := s.QueueDepth(); d != 1 {
-		t.Fatalf("queue depth %d, want 1", d)
-	}
-}

@@ -1,17 +1,11 @@
-// Package serve turns the deterministic evaluation engine into a
-// long-running simulation service: an HTTP/JSON API over a persistent
-// priority job queue, with request coalescing (identical in-flight jobs
-// run once, the checkpoint.Store singleflight pattern lifted to whole
-// jobs), a content-addressed result cache (repeat queries skip simulation
-// entirely), per-tenant token-bucket quotas, queue-depth backpressure,
-// SSE progress streaming, and graceful drain.
-//
-// The determinism contract is the whole design's keystone: a job's result
-// payload is a pure function of its normalized spec and the engine
-// version, byte-identical to calling spt.RunJobs / spt.RunFuzz /
-// spt.RunVerify directly. That is what makes content addressing sound —
-// two requests with one key MUST have one answer — and it is enforced by
-// the e2e tests, which diff server payloads against direct engine calls.
+// Package serve is what remains of a simulation job service that ran the
+// evaluation engine behind an HTTP API: job spec normalization and content
+// keying (spec.go), the engine call and its result payload helpers
+// (engine.go), the content-addressed result cache (cache.go), the
+// persistent queue journal (queue.go) and per-tenant token buckets
+// (quota.go). The job server, its HTTP/SSE front end and its command are
+// deleted, and nothing outside this package's own tests calls what is
+// left; ROADMAP.md schedules its deletion.
 package serve
 
 import (

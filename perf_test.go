@@ -1,12 +1,12 @@
-// Simulator-throughput benchmarks and tests for the perf reporting layer.
-// BenchmarkCoreThroughput is the number the performance work in this repo
-// is judged by: simulated millions of instructions per host second, per
-// protection scheme. CI runs it with -benchtime=1x as a smoke test;
-// meaningful measurements need the default benchtime on an idle machine.
+// Simulator-throughput benchmark and the host-stats test.
+// BenchmarkCoreThroughput reports simulated millions of instructions per
+// host second, per protection scheme. CI's perf-smoke job runs it with
+// -benchtime=1x against generous floors; meaningful measurements need the
+// default benchtime on an idle machine. The repository's benchmark is
+// bench/run.sh (bench/README.md).
 package spt_test
 
 import (
-	"encoding/json"
 	"testing"
 
 	"spt"
@@ -17,7 +17,7 @@ import (
 // untaint, full SPT with its bounded untaint broadcast). Reported metrics:
 // simulated MIPS and host nanoseconds per simulated instruction.
 func BenchmarkCoreThroughput(b *testing.B) {
-	for _, scheme := range spt.PerfSchemes() {
+	for _, scheme := range []spt.Scheme{spt.UnsafeBaseline, spt.STT, spt.SPTFull} {
 		b.Run(string(scheme), func(b *testing.B) {
 			var insts uint64
 			for i := 0; i < b.N; i++ {
@@ -80,44 +80,4 @@ func containsFold(s, sub string) bool {
 		}
 	}
 	return false
-}
-
-// TestPerfReportDeterministic checks that the deterministic projection of
-// two independent perf runs is byte-identical, and that host fields are
-// actually zeroed by it (they differ run to run).
-func TestPerfReportDeterministic(t *testing.T) {
-	opt := spt.EvalOptions{Budget: 4_000, Workloads: []string{"xz"}}
-	a, err := spt.RunPerf(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := spt.RunPerf(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ja, err := a.Deterministic().JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	jb, err := b.Deterministic().JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ja != jb {
-		t.Fatalf("deterministic projections differ:\n%s\n---\n%s", ja, jb)
-	}
-	var parsed spt.PerfReport
-	if err := json.Unmarshal([]byte(ja), &parsed); err != nil {
-		t.Fatal(err)
-	}
-	for _, row := range parsed.Rows {
-		if row.HostSeconds != 0 || row.SimKIPS != 0 || row.NsPerInstruction != 0 {
-			t.Fatalf("host fields survive Deterministic(): %+v", row)
-		}
-	}
-	for _, row := range a.Rows {
-		if row.HostSeconds <= 0 {
-			t.Fatalf("raw report missing host timing: %+v", row)
-		}
-	}
 }

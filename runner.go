@@ -62,11 +62,12 @@ func (j Job) options() Options {
 
 // RunJobs executes an evaluation grid on a worker pool and returns the
 // results keyed by Job. Execution honors opt.Jobs (worker count), opt.Context
-// (cancellation between simulations; an individual simulation is not
-// interruptible), and opt.Progress; opt.Budget, opt.Width, and opt.Workloads
-// are ignored here — they only matter when a figure harness enumerates its
-// grid. Duplicate jobs are simulated once. On error the first failure in
-// grid order is returned and the partial results are discarded.
+// (cancellation: no new cell starts, and every in-flight cell stops at its
+// next context check, as Options.Context describes), and opt.Progress;
+// opt.Budget, opt.Width, and opt.Workloads are ignored here — they only
+// matter when a figure harness enumerates its grid. Duplicate jobs are
+// simulated once. On error the first failure in grid order is returned and
+// the partial results are discarded.
 func RunJobs(jobs []Job, opt EvalOptions) (map[Job]*Result, error) {
 	return runGrid(jobs, opt, newJobRunner(jobs, opt).run)
 }
@@ -276,8 +277,9 @@ func runPool[J comparable, R any](jobs []J, cfg poolConfig[J], run func(J) (R, e
 			}
 		}
 		// Cancellation surfaces its cause (context.Cause), so a caller that
-		// cancels with a reason — spt-serve's DELETE handler, a CLI signal
-		// context — sees that reason, not a bare context.Canceled.
+		// cancels with a reason — the CLIs' signal contexts, or any
+		// context.WithCancelCause — sees that reason, not a bare
+		// context.Canceled.
 		if ctx.Err() != nil {
 			return nil, context.Cause(ctx)
 		}

@@ -2,6 +2,7 @@ package spt
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -257,8 +258,8 @@ func checkNoGoroutineLeak(t *testing.T) {
 // pins the exact completion-accounting contract under cancellation: every
 // executed job ticks progress exactly once, no job starts after the pool
 // observed the cancellation, and no worker goroutine leaks. This extends
-// TestRunGridProgressCountsFailedJobs to the cancellation path spt-serve's
-// DELETE handler and the CLI signal contexts rely on.
+// TestRunGridProgressCountsFailedJobs to the cancellation path the CLIs'
+// signal contexts rely on.
 func TestRunGridCancelMidGridAccounting(t *testing.T) {
 	const n = 48
 	for _, workers := range []int{1, 4, 8} {
@@ -312,10 +313,10 @@ func TestRunGridCancelMidGridAccounting(t *testing.T) {
 }
 
 // TestRunPoolCancellationCause pins that a cancellation reason set via
-// context.WithCancelCause surfaces from runPool, so a server cancelling a
-// job can tell its callers why the grid stopped.
+// context.WithCancelCause surfaces from runPool, so a caller that cancels a
+// grid can tell its own callers why the grid stopped.
 func TestRunPoolCancellationCause(t *testing.T) {
-	wantCause := fmt.Errorf("cancelled by DELETE /v1/jobs")
+	wantCause := fmt.Errorf("cancelled by the caller")
 	for _, workers := range []int{1, 4} {
 		checkNoGoroutineLeak(t)
 		ctx, cancel := context.WithCancelCause(context.Background())
@@ -358,6 +359,33 @@ func TestRunJobsReal(t *testing.T) {
 	got.Host, want.Host = HostStats{}, HostStats{}
 	if !reflect.DeepEqual(got, want) {
 		t.Error("grid result differs from a direct Run of the same cell")
+	}
+}
+
+// TestRunJobsCancelsInFlightCell pins that cancelling the grid's context
+// stops a detailed simulation mid-run, not only between cells: the one
+// cell here would run for minutes, and RunJobs must return the
+// cancellation cause within seconds at any worker count.
+func TestRunJobsCancelsInFlightCell(t *testing.T) {
+	jobs := []Job{{Workload: "gcc", Scheme: SPTFull, Model: Futuristic, Width: 3, Budget: 50_000_000}}
+	for _, workers := range []int{1, 4} {
+		cause := fmt.Errorf("cancelled mid-cell at Jobs=%d", workers)
+		ctx, cancel := context.WithCancelCause(context.Background())
+		done := make(chan error, 1)
+		go func() {
+			_, err := RunJobs(jobs, EvalOptions{Jobs: workers, Context: ctx})
+			done <- err
+		}()
+		time.Sleep(30 * time.Millisecond)
+		cancel(cause)
+		select {
+		case err := <-done:
+			if !errors.Is(err, cause) {
+				t.Errorf("Jobs=%d: err = %v, want the cancellation cause", workers, err)
+			}
+		case <-time.After(20 * time.Second):
+			t.Fatalf("Jobs=%d: RunJobs still running 20s after cancellation", workers)
+		}
 	}
 }
 

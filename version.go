@@ -1,13 +1,9 @@
 package spt
 
 // EngineVersion stamps every JSON artifact the engine emits — fuzz and
-// verify campaign reports, perf reports, and full counter dumps — and keys
-// the spt-serve content-addressed result cache. Bump it whenever a change
-// can alter any simulated result or report schema: archived reports stay
-// distinguishable across code changes, and every cached or persisted
-// server result from an older engine is invalidated automatically (the
-// version participates in the cache key, so stale entries simply never
-// match again).
+// verify campaign reports, campaign state files, and full counter dumps.
+// Bump it whenever a change can alter any simulated result or report
+// schema, so archived reports stay distinguishable across code changes.
 //
 // The value is "spt-engine/<n>"; <n> increments with the PR sequence
 // whenever simulated behavior or report schemas change.
