@@ -33,6 +33,7 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"syscall"
 
@@ -42,9 +43,22 @@ import (
 	"spt/internal/taint"
 )
 
+// whats are the values -what accepts: one artifact each, in the order
+// "all" prints them, then "all".
+var whats = []string{"machine", "configs", "fig7", "fig8", "fig9", "width", "stats", "pentest", "all"}
+
+// checkWhat rejects a -what value that names no artifact, which would
+// otherwise print nothing and exit 0.
+func checkWhat(what string) error {
+	if slices.Contains(whats, what) {
+		return nil
+	}
+	return fmt.Errorf("unknown -what %q (want one of %s)", what, strings.Join(whats, "|"))
+}
+
 func main() {
 	var (
-		what       = flag.String("what", "all", "machine|configs|fig7|fig8|fig9|width|stats|pentest|all")
+		what       = flag.String("what", "all", strings.Join(whats, "|"))
 		budget     = flag.Uint64("budget", 120_000, "retired instructions per run")
 		workloads  = flag.String("workloads", "", "comma-separated subset (default: all)")
 		jobs       = flag.Int("jobs", 0, "concurrent simulations (0 = one per core, 1 = sequential)")
@@ -56,6 +70,10 @@ func main() {
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
+	if err := checkWhat(*what); err != nil {
+		fmt.Fprintf(os.Stderr, "spt-bench: %v\n", err)
+		os.Exit(2)
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)

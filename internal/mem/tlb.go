@@ -13,8 +13,8 @@ package mem
 // plus pointer splices instead of a map write, a miss evicts in O(1)
 // instead of scanning for the oldest stamp, and the repeated-same-page
 // hit (the common case during functional warming) is a single head
-// check. Translate is the hottest call in hierarchy warming; see
-// BenchmarkWarmingWalker.
+// check. Every data access in hierarchy warming translates, and a hit on
+// a non-MRU page still costs a map read; see BenchmarkWarmingWalker.
 type TLB struct {
 	entries   int
 	pageShift uint

@@ -28,20 +28,13 @@ func (u *Unit) ResetStats() {
 // allocation state so a cloned predictor's future behavior is identical.
 func (t *TAGE) Clone() *TAGE {
 	out := &TAGE{
-		base:   append([]int8(nil), t.base...),
-		mask:   t.mask,
+		base:   new([tageBaseEntries]int8),
+		tagged: new([tageTables][tageEntries]tageEntry),
 		rng:    t.rng,
 		Stats:  t.Stats,
-		tables: make([]*tageTable, len(t.tables)),
 	}
-	for i, tt := range t.tables {
-		out.tables[i] = &tageTable{
-			histLen: tt.histLen,
-			entries: append([]tageEntry(nil), tt.entries...),
-			mask:    tt.mask,
-			tagBits: tt.tagBits,
-		}
-	}
+	*out.base = *t.base
+	*out.tagged = *t.tagged
 	return out
 }
 

@@ -7,14 +7,36 @@
 // the same predictor family from scratch.
 package predictor
 
-import "math/bits"
+// The simulated machine's TAGE geometry: a 4K-entry bimodal base and
+// six tagged tables of 1K entries with geometric history lengths, each
+// indexed and tagged by 10-bit hashes. It is fixed so that a lookup folds
+// the history with constant shifts.
+const (
+	tageBaseEntries = 4096
+	tageTables      = 6
+	tageBits        = 10 // index and tag width of a tagged table
+	tageEntries     = 1 << tageBits
+)
 
-// tageTable is one tagged component of the TAGE predictor.
-type tageTable struct {
-	histLen int
-	entries []tageEntry
-	mask    uint64
-	tagBits uint
+// tageHistLens are the tagged tables' global-history lengths.
+var tageHistLens = [tageTables]int{4, 8, 16, 32, 64, 128}
+
+// tageHistMasks holds, per tagged table, the masks that keep the newest
+// histLen bits of the global history (g) and the newest histLen/2 bits of
+// the path history (p) — what fold keeps of each before folding.
+var tageHistMasks = func() (m [tageTables]struct{ g, p uint64 }) {
+	for i, hl := range tageHistLens {
+		m[i].g, m[i].p = lowBits(hl), lowBits(hl/2)
+	}
+	return m
+}()
+
+// lowBits returns a mask of the low n bits (all 64 when n >= 64).
+func lowBits(n int) uint64 {
+	if n >= 64 {
+		return ^uint64(0)
+	}
+	return 1<<uint(n) - 1
 }
 
 type tageEntry struct {
@@ -26,9 +48,8 @@ type tageEntry struct {
 // TAGE is a tagged geometric-history-length conditional branch predictor
 // with a bimodal base table.
 type TAGE struct {
-	base   []int8 // 2-bit counters: -2..1, taken if >= 0
-	mask   uint64
-	tables []*tageTable
+	base   *[tageBaseEntries]int8 // 2-bit counters: -2..1, taken if >= 0
+	tagged *[tageTables][tageEntries]tageEntry
 
 	rng uint32 // xorshift state for allocation randomization
 
@@ -59,53 +80,27 @@ func (h History) Update(pc uint64, taken bool) History {
 	return h
 }
 
-// NewTAGE builds a predictor with the given base-table size (entries,
-// power of two) and tagged-table geometry.
-func NewTAGE(baseEntries, taggedEntries int, histLens []int) *TAGE {
-	t := &TAGE{
-		base: make([]int8, baseEntries),
-		mask: uint64(baseEntries - 1),
-		rng:  0x2545F491,
-	}
-	for _, hl := range histLens {
-		t.tables = append(t.tables, &tageTable{
-			histLen: hl,
-			entries: make([]tageEntry, taggedEntries),
-			mask:    uint64(taggedEntries - 1),
-			tagBits: 10,
-		})
-	}
-	return t
-}
-
-// DefaultTAGE returns the configuration used by the simulated machine:
-// a 4K-entry bimodal base and six 1K-entry tagged tables with geometric
-// history lengths.
+// DefaultTAGE returns the predictor used by the simulated machine, with
+// every counter and tag zero.
 func DefaultTAGE() *TAGE {
-	return NewTAGE(4096, 1024, []int{4, 8, 16, 32, 64, 128})
+	return &TAGE{
+		base:   new([tageBaseEntries]int8),
+		tagged: new([tageTables][tageEntries]tageEntry),
+		rng:    0x2545F491,
+	}
 }
 
 // fold compresses the low histLen bits of h into outBits by XOR-ing
-// successive outBits-wide chunks together. It is the hottest function in
-// functional warming (four calls per tagged table per branch), so the
-// production geometries (outBits >= 8, i.e. at most eight chunks in a
-// 64-bit word) use a branch-free doubling cascade: after h ^= h>>b, bit p
-// holds chunk XORs at stride b; two more doublings cover strides 2b and
-// 4b, so the low b bits end up with the XOR of all ceil(64/b) <= 8
-// chunks. Shifts of 64 or more are well-defined in Go (they yield zero),
-// which makes the later steps harmless no-ops once every chunk is folded
-// in. Narrower outputs keep the reference loop; fold_test.go cross-checks
-// the two forms.
+// successive outBits-wide chunks together. Outputs of 8 bits or more use
+// foldTo's branch-free cascade; narrower ones keep the reference loop.
+// fold_test.go cross-checks the two forms. Indirect's index folds with it;
+// TAGE's lookup masks its history once per table and calls foldTo with
+// constant widths instead.
 func fold(h uint64, histLen, outBits int) uint64 {
-	if histLen < 64 {
-		h &= (1 << uint(histLen)) - 1
-	}
+	h &= lowBits(histLen)
 	b := uint(outBits)
 	if b >= 8 {
-		h ^= h >> b
-		h ^= h >> (2 * b)
-		h ^= h >> (4 * b)
-		return h & (1<<b - 1)
+		return foldTo(h, b)
 	}
 	var f uint64
 	for h != 0 {
@@ -115,42 +110,52 @@ func fold(h uint64, histLen, outBits int) uint64 {
 	return f
 }
 
-func (tt *tageTable) index(pc uint64, hist History) uint64 {
-	idxBits := bits.TrailingZeros64(tt.mask + 1)
-	h := fold(hist.G, tt.histLen, idxBits) ^ fold(hist.P, tt.histLen/2, idxBits)
-	return (pc ^ (pc >> 7) ^ h) & tt.mask
-}
-
-func (tt *tageTable) tag(pc uint64, hist History) uint16 {
-	h := fold(hist.G, tt.histLen, int(tt.tagBits)) ^ (fold(hist.G, tt.histLen, int(tt.tagBits)-1) << 1)
-	return uint16((pc ^ h) & ((1 << tt.tagBits) - 1))
+// foldTo XORs all b-bit chunks of h into its low b bits, for b >= 8 (at
+// most eight chunks in a 64-bit word): after h ^= h>>b, bit p holds chunk
+// XORs at stride b; two more doublings cover strides 2b and 4b, so the
+// low b bits end up with the XOR of all ceil(64/b) <= 8 chunks. Shifts of
+// 64 or more are well-defined in Go (they yield zero), which makes the
+// later steps harmless no-ops once every chunk is folded in. Called with
+// a constant b, it inlines to six constant shifts and XORs.
+func foldTo(h uint64, b uint) uint64 {
+	h ^= h >> b
+	h ^= h >> (2 * b)
+	h ^= h >> (4 * b)
+	return h & (1<<b - 1)
 }
 
 // Prediction describes a TAGE lookup result; it must be passed back to
 // Update so the same provider entry is trained.
 type Prediction struct {
 	Taken     bool
-	provider  int // index into tables, -1 for bimodal
+	provider  int // index into tagged tables, -1 for bimodal
 	altTaken  bool
-	indices   [8]uint64
-	tags      [8]uint16
+	indices   [tageTables]uint16
+	tags      [tageTables]uint16
 	baseIndex uint64
 }
 
 // Predict looks up the direction for the branch at pc under history hist,
 // filling p in place (the struct carries per-table indices and tags for
 // Update, so it is returned through a pointer to avoid copying it twice
-// per branch).
+// per branch). Table i is indexed by pc ^ pc>>7 ^ fold(G, histLen, 10) ^
+// fold(P, histLen/2, 10) and tagged by pc ^ fold(G, histLen, 10) ^
+// fold(G, histLen, 9)<<1, each cut to 10 bits; the global fold is
+// computed once for both.
 func (t *TAGE) Predict(pc uint64, hist History, p *Prediction) {
 	t.Stats.Lookups++
-	*p = Prediction{provider: -1, baseIndex: pc & t.mask}
+	p.baseIndex = pc & (tageBaseEntries - 1)
 	p.Taken = t.base[p.baseIndex] >= 0
 	p.altTaken = p.Taken
-	for i, tt := range t.tables {
-		p.indices[i] = tt.index(pc, hist)
-		p.tags[i] = tt.tag(pc, hist)
-		e := &tt.entries[p.indices[i]]
-		if e.tag == p.tags[i] {
+	p.provider = -1
+	pcIdx := pc ^ pc>>7
+	for i := range t.tagged {
+		g := hist.G & tageHistMasks[i].g
+		fg := foldTo(g, tageBits)
+		idx := (pcIdx ^ fg ^ foldTo(hist.P&tageHistMasks[i].p, tageBits)) & (tageEntries - 1)
+		tag := uint16((pc ^ fg ^ foldTo(g, tageBits-1)<<1) & (1<<tageBits - 1))
+		p.indices[i], p.tags[i] = uint16(idx), tag
+		if e := &t.tagged[i][idx]; e.tag == tag {
 			p.altTaken = p.Taken
 			p.Taken = e.ctr >= 0
 			p.provider = i
@@ -172,7 +177,7 @@ func (t *TAGE) nextRand() uint32 {
 func (t *TAGE) Update(pc uint64, hist History, p *Prediction, taken bool) {
 	// Train the provider.
 	if p.provider >= 0 {
-		e := &t.tables[p.provider].entries[p.indices[p.provider]]
+		e := &t.tagged[p.provider][p.indices[p.provider]]
 		if taken && e.ctr < 3 {
 			e.ctr++
 		} else if !taken && e.ctr > -4 {
@@ -194,14 +199,14 @@ func (t *TAGE) Update(pc uint64, hist History, p *Prediction, taken bool) {
 	}
 
 	// On a misprediction, allocate a new entry in a longer-history table.
-	if p.Taken != taken && p.provider < len(t.tables)-1 {
+	if p.Taken != taken && p.provider < tageTables-1 {
 		start := p.provider + 1
 		// Randomize the starting table a little to avoid ping-ponging.
-		if start < len(t.tables)-1 && t.nextRand()&3 == 0 {
+		if start < tageTables-1 && t.nextRand()&3 == 0 {
 			start++
 		}
-		for i := start; i < len(t.tables); i++ {
-			e := &t.tables[i].entries[p.indices[i]]
+		for i := start; i < tageTables; i++ {
+			e := &t.tagged[i][p.indices[i]]
 			if e.useful == 0 {
 				e.tag = p.tags[i]
 				e.useful = 0
@@ -215,8 +220,8 @@ func (t *TAGE) Update(pc uint64, hist History, p *Prediction, taken bool) {
 			}
 		}
 		// No free entry: age the useful counters along the allocation path.
-		for i := start; i < len(t.tables); i++ {
-			e := &t.tables[i].entries[p.indices[i]]
+		for i := start; i < tageTables; i++ {
+			e := &t.tagged[i][p.indices[i]]
 			if e.useful > 0 {
 				e.useful--
 			}

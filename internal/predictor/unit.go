@@ -53,7 +53,7 @@ type Checkpoint struct {
 // PredictCond predicts the conditional branch at pc and speculatively
 // updates history, filling cp in place. The checkpoint must be passed to
 // Resolve (to train) and, on a misprediction, to Recover. Checkpoints are
-// filled through a pointer rather than returned: they are ~160 bytes and
+// filled through a pointer rather than returned: they are 120 bytes and
 // every retired branch moves one through predict and resolve, so by-value
 // passing made struct copying a measurable slice of functional warming.
 func (u *Unit) PredictCond(pc uint64, cp *Checkpoint) {
