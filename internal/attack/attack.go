@@ -14,6 +14,7 @@ package attack
 
 import (
 	"fmt"
+	"sync"
 
 	"spt/internal/isa"
 	"spt/internal/mem"
@@ -127,22 +128,58 @@ func Probe(hier *mem.Hierarchy) Result {
 // its cycle. Identical traces across secret values mean the secret is
 // unobservable (Definition 1's observational-determinism reading).
 func ObservationTrace(prog *isa.Program, model pipeline.AttackModel, pol pipeline.Policy) ([]string, error) {
-	cfg := pipeline.DefaultConfig()
-	cfg.Model = model
-	hier := mem.NewHierarchy(mem.DefaultHierarchyConfig())
-	core, err := pipeline.New(cfg, prog, hier, pol)
+	trace, _, finished, err := Observe(prog, model, pol)
 	if err != nil {
 		return nil, err
 	}
-	var trace []string
+	if !finished {
+		return nil, fmt.Errorf("attack: victim did not finish")
+	}
+	return trace, nil
+}
+
+// Observe runs prog on the Table-1 machine under model and pol and returns
+// its observation trace, a copy of the finished core's statistics, and
+// whether HALT retired within the run bounds. Each event is recorded as
+// "<kind>@<cycle>:<addr>": load line accesses ('L'), store translations
+// ('T'), retirement writes ('W') and the retirement replay of an
+// obliviously executed load ('R'). The error is the core's own: a program
+// that fails validation, or a livelock.
+//
+// Observe keeps idle cores in a pool, each with its own hierarchy and
+// predictor, and Resets one for the run when it can, so the oracle's
+// thousands of tiny runs pay for a reset instead of a construction. The
+// result is the same as on a newly built core.
+func Observe(prog *isa.Program, model pipeline.AttackModel, pol pipeline.Policy) (trace []string, st pipeline.Stats, finished bool, err error) {
+	cfg := pipeline.DefaultConfig()
+	cfg.Model = model
+	core, _ := idleCores.Get().(*pipeline.Core)
+	if core == nil {
+		if core, err = pipeline.New(cfg, prog, mem.NewHierarchy(mem.DefaultHierarchyConfig()), pol); err != nil {
+			return nil, pipeline.Stats{}, false, err
+		}
+	} else if err = core.Reset(cfg, prog, pol); err != nil {
+		release(core)
+		return nil, pipeline.Stats{}, false, err
+	}
+	defer release(core)
 	core.Observer = func(kind byte, cycle uint64, addr uint64) {
 		trace = append(trace, fmt.Sprintf("%c@%d:%#x", kind, cycle, addr))
 	}
 	if err := core.Run(10_000_000, 100_000_000); err != nil {
-		return nil, err
+		return nil, pipeline.Stats{}, false, err
 	}
-	if !core.Finished() {
-		return nil, fmt.Errorf("attack: victim did not finish")
-	}
-	return trace, nil
+	return trace, core.Stats, core.Finished(), nil
+}
+
+// idleCores holds Observe's cores between runs.
+var idleCores sync.Pool
+
+// release drops c's references to the caller's program, memory image,
+// policy and trace, then hands c back to the pool.
+func release(c *pipeline.Core) {
+	c.Prog, c.Mem, c.Pol = nil, nil, nil
+	c.Observer, c.Tracer, c.TickWrote = nil, nil, nil
+	c.Hier.L1D.OnFill, c.Hier.L1D.OnEvict = nil, nil
+	idleCores.Put(c)
 }

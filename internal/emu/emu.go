@@ -125,11 +125,17 @@ func (m *Memory) Invalidate() {
 	m.epoch = newMemEpoch()
 }
 
-// LoadSegments copies a program's initial data image into memory.
+// LoadSegments copies a program's initial data image into memory, in
+// order (a later segment overwrites an earlier one where they overlap).
+// Each page-sized run goes through one ensure, so the same pages are
+// allocated, and frozen ones cloned, as byte-by-byte SetByte calls would.
 func (m *Memory) LoadSegments(segs []isa.Segment) {
 	for _, s := range segs {
-		for i, b := range s.Bytes {
-			m.SetByte(s.Addr+uint64(i), b)
+		addr, b := s.Addr, s.Bytes
+		for len(b) > 0 {
+			n := copy(m.ensure(addr >> pageShift)[addr&(pageSize-1):], b)
+			addr += uint64(n)
+			b = b[n:]
 		}
 	}
 }

@@ -6,8 +6,8 @@ import (
 	"sort"
 	"strings"
 
+	"spt/internal/attack"
 	"spt/internal/isa"
-	"spt/internal/mem"
 	"spt/internal/pipeline"
 )
 
@@ -80,29 +80,19 @@ func BucketKey(prim Primitive, tx Transmitter, sh Shape) string {
 // ReferenceObservation runs prog (a patched secret twin) on the reference
 // cell — the unsafe baseline under the futuristic model, where every
 // transient access is observable — and returns the observation trace plus
-// the shape signal. The trace is byte-identical to
-// attack.ObservationTrace(prog, pipeline.Futuristic, nil), so campaign
-// callers can reuse it as the unsafe/futuristic A-side trace instead of
-// re-simulating that cell.
+// the shape signal. The trace is attack.Observe's for that cell, so it is
+// byte-identical to attack.ObservationTrace(prog, pipeline.Futuristic,
+// nil), and campaign callers can reuse it as the unsafe/futuristic A-side
+// trace instead of re-simulating that cell.
 func ReferenceObservation(prog *isa.Program) ([]string, Shape, error) {
-	cfg := pipeline.DefaultConfig()
-	cfg.Model = pipeline.Futuristic
-	hier := mem.NewHierarchy(mem.DefaultHierarchyConfig())
-	core, err := pipeline.New(cfg, prog, hier, nil)
+	trace, st, finished, err := attack.Observe(prog, pipeline.Futuristic, nil)
 	if err != nil {
 		return nil, Shape{}, err
 	}
-	var trace []string
-	core.Observer = func(kind byte, cycle uint64, addr uint64) {
-		trace = append(trace, fmt.Sprintf("%c@%d:%#x", kind, cycle, addr))
-	}
-	if err := core.Run(10_000_000, 100_000_000); err != nil {
-		return nil, Shape{}, err
-	}
-	if !core.Finished() {
+	if !finished {
 		return nil, Shape{}, fmt.Errorf("fuzz: %s did not finish on the reference cell", prog.Name)
 	}
-	sh := Shape{MaxSquash: core.Stats.SquashDepth.Max, Sig: TraceSignature(trace)}
+	sh := Shape{MaxSquash: st.SquashDepth.Max, Sig: TraceSignature(trace)}
 	return trace, sh, nil
 }
 

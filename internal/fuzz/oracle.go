@@ -38,6 +38,15 @@ const archSteps = 1 << 16
 // still squashes and replays younger accesses, which no scheme hides. A
 // secret-dependent condition is a constant-time violation by the victim,
 // outside Definition 1's contract, so the oracle must reject it.
+//
+// A candidate that never halts is reported as soon as its machine repeats
+// a state, not after archSteps steps. Step reads only the PC, the
+// registers and memory, so a repeated state means a cycle that runs until
+// the bound, and the error is the bound's. The check is Brent's: the PC
+// and registers are saved at every power-of-two step count, and a later
+// step that matches them with no memory byte changed since the save
+// closes the cycle. A store changes memory only if the bytes it
+// overwrites differ from its size-truncated value.
 func archDigest(prog *isa.Program) (uint64, error) {
 	e := emu.New(prog)
 	const prime = 1099511628211
@@ -46,11 +55,21 @@ func archDigest(prog *isa.Program) (uint64, error) {
 		h ^= v
 		h *= prime
 	}
+	var (
+		savedPC   uint64
+		savedRegs [isa.NumRegs]uint64
+		nextSave  = 1
+		memSame   bool // no store changed memory since the save
+	)
 	for steps := 0; !e.State.Halted; steps++ {
-		if steps >= archSteps {
+		pc := e.State.PC
+		if steps >= archSteps || memSame && pc == savedPC && e.State.Regs == savedRegs {
 			return 0, fmt.Errorf("fuzz: %s did not terminate in %d steps", prog.Name, archSteps)
 		}
-		pc := e.State.PC
+		if steps == nextSave {
+			savedPC, savedRegs, memSame = pc, e.State.Regs, true
+			nextSave *= 2
+		}
 		if pc >= uint64(len(prog.Code)) {
 			return 0, emu.ErrPCOutOfRange{PC: pc}
 		}
@@ -64,9 +83,14 @@ func archDigest(prog *isa.Program) (uint64, error) {
 			}
 		}
 		if ins.IsMem() {
-			mix(e.State.Regs[ins.Rs1] + uint64(ins.Imm))
+			addr := e.State.Regs[ins.Rs1] + uint64(ins.Imm)
+			mix(addr)
 			if ins.IsStore() {
-				mix(e.State.Regs[ins.Rs2])
+				v := e.State.Regs[ins.Rs2]
+				mix(v)
+				if size := ins.MemSize(); memSame && e.State.Mem.Read(addr, size) != v&(1<<(8*size)-1) {
+					memSame = false
+				}
 			}
 		}
 		if err := e.Step(); err != nil {

@@ -64,11 +64,11 @@ type CacheStats struct {
 // A set gets its ways on the first Fill into it. end[s] is one past the
 // last of set s's ways in lines (0 = never filled, which every lookup
 // reads as an empty set), and lines grows by one block of Ways lines per
-// first fill, in first-fill order. Every simulation builds a fresh
-// hierarchy and a short one touches a few dozen lines, so allocating the
-// Table-1 hierarchy's 915 KB of line metadata up front would dominate its
-// cost. A set's block never moves within lines, so a (set, way) pair
-// stays valid across later fills.
+// first fill, in first-fill order. Every simulation starts from an empty
+// hierarchy, built or Reset, and a short one touches a few dozen lines, so
+// allocating (or clearing) the Table-1 hierarchy's 915 KB of line
+// metadata up front would dominate its cost. A set's block never moves
+// within lines, so a (set, way) pair stays valid across later fills.
 type Cache struct {
 	cfg       CacheConfig
 	sets      int
@@ -143,8 +143,8 @@ func (c *Cache) ways(set int) []line {
 // allocate gives a never-filled set its ways, all Invalid. A full arena
 // doubles, capped at every set's ways, so a run that fills every set
 // copies about as many lines as it keeps (append grows a large slice by
-// a quarter at a time). lines never shrinks, so its spare capacity is
-// still zero.
+// a quarter at a time). reset empties lines but keeps its capacity, so
+// the block handed out may hold an earlier run's lines: it is cleared.
 func (c *Cache) allocate(set int) []line {
 	n, w := len(c.lines), c.cfg.Ways
 	if n+w > cap(c.lines) {
@@ -154,7 +154,21 @@ func (c *Cache) allocate(set int) []line {
 	}
 	c.lines = c.lines[:n+w]
 	c.end[set] = int32(n + w)
-	return c.lines[n:]
+	ls := c.lines[n:]
+	clear(ls)
+	return ls
+}
+
+// reset empties the cache in place, back to what NewCache builds: every
+// set loses its ways (the line arena keeps its capacity for later first
+// fills), and the stamp, the counters and the OnFill/OnEvict hooks are
+// cleared.
+func (c *Cache) reset() {
+	clear(c.end)
+	c.lines = c.lines[:0]
+	c.stamp = 0
+	c.stats = CacheStats{}
+	c.OnFill, c.OnEvict = nil, nil
 }
 
 // locate returns the set and way holding addr's line, without updating

@@ -51,17 +51,18 @@ func (t *TLB) Clone() *TLB {
 // meaningless across a clock-domain change (a restored core restarts at
 // cycle 0) — and neither are cache hooks (see Cache.Clone).
 func (h *Hierarchy) Clone() *Hierarchy {
-	return &Hierarchy{
-		cfg:     h.cfg,
-		L1I:     h.L1I.Clone(),
-		L1D:     h.L1D.Clone(),
-		L2:      h.L2.Clone(),
-		L3:      h.L3.Clone(),
-		DTLB:    h.DTLB.Clone(),
-		mshr:    make([]mshrEntry, 0, h.cfg.MSHRs),
-		mshrMin: ^uint64(0),
-		Stats:   h.Stats,
+	out := &Hierarchy{
+		cfg:   h.cfg,
+		L1I:   h.L1I.Clone(),
+		L1D:   h.L1D.Clone(),
+		L2:    h.L2.Clone(),
+		L3:    h.L3.Clone(),
+		DTLB:  h.DTLB.Clone(),
+		mshr:  make([]mshrEntry, 0, h.cfg.MSHRs),
+		Stats: h.Stats,
 	}
+	out.dropInFlight()
+	return out
 }
 
 // ResetStats zeroes every counter in the hierarchy — its own, each cache

@@ -71,8 +71,8 @@ type Hierarchy struct {
 	// that line and the next are resident after a fetch. For such a line
 	// the full path would hit, find the next line present and change
 	// nothing but the LRU stamp and hit counters, so a memo hit is a
-	// touch plus a latency constant. Only AccessInstr's fills and
-	// FlushAll change the L1I; both empty the whole table, so an entry
+	// touch plus a latency constant. Only AccessInstr's fills, FlushAll
+	// and Reset change the L1I; each empties the whole table, so an entry
 	// cannot go stale in between. Clone drops the table (struct literal),
 	// which only costs the first fetch from each line after a restore.
 	iMemo [iMemoEntries]iMemoEntry
@@ -82,16 +82,39 @@ type Hierarchy struct {
 
 // NewHierarchy builds the memory system.
 func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
-	return &Hierarchy{
-		cfg:     cfg,
-		L1I:     NewCache(cfg.L1I),
-		L1D:     NewCache(cfg.L1D),
-		L2:      NewCache(cfg.L2),
-		L3:      NewCache(cfg.L3),
-		DTLB:    NewTLB(cfg.TLBEntries, cfg.PageBytes, cfg.PageWalkCycles),
-		mshr:    make([]mshrEntry, 0, cfg.MSHRs),
-		mshrMin: ^uint64(0),
+	h := &Hierarchy{
+		cfg:  cfg,
+		L1I:  NewCache(cfg.L1I),
+		L1D:  NewCache(cfg.L1D),
+		L2:   NewCache(cfg.L2),
+		L3:   NewCache(cfg.L3),
+		DTLB: NewTLB(cfg.TLBEntries, cfg.PageBytes, cfg.PageWalkCycles),
+		mshr: make([]mshrEntry, 0, cfg.MSHRs),
 	}
+	h.dropInFlight()
+	return h
+}
+
+// Reset returns the hierarchy in place to the state NewHierarchy(h.Config())
+// builds: every cache level empty, with zero stamps and counters and no
+// OnFill/OnEvict hooks, the TLB empty, no outstanding misses, an empty
+// fetch memo and zero hierarchy counters. The caches keep their line
+// arenas, so a run after Reset allocates nothing until it fills more sets
+// than an earlier run did.
+func (h *Hierarchy) Reset() {
+	for _, c := range []*Cache{h.L1I, h.L1D, h.L2, h.L3} {
+		c.reset()
+	}
+	h.DTLB.reset()
+	h.dropInFlight()
+	h.Stats = HierarchyStats{}
+}
+
+// dropInFlight empties the MSHR table and the fetch memo.
+func (h *Hierarchy) dropInFlight() {
+	h.mshr = h.mshr[:0]
+	h.mshrMin = ^uint64(0)
+	h.iMemo = [iMemoEntries]iMemoEntry{}
 }
 
 // iMemoEntries is the fetch memo's size. Over the 19 Figure 7 kernels'
@@ -282,11 +305,9 @@ func (h *Hierarchy) OutstandingMisses(now uint64) int {
 // FlushAll empties every cache level and the TLB contents are kept (the
 // paper's receiver probes cache residency, not TLB state).
 func (h *Hierarchy) FlushAll() {
-	h.iMemo = [iMemoEntries]iMemoEntry{}
+	h.dropInFlight()
 	h.L1I.FlushAll()
 	h.L1D.FlushAll()
 	h.L2.FlushAll()
 	h.L3.FlushAll()
-	h.mshr = h.mshr[:0]
-	h.mshrMin = ^uint64(0)
 }

@@ -42,7 +42,7 @@ func NewTLB(entries int, pageBytes int, walkCycles uint64) *TLB {
 	for s := pageBytes; s > 1; s >>= 1 {
 		shift++
 	}
-	return &TLB{
+	t := &TLB{
 		entries:   entries,
 		pageShift: shift,
 		walkCost:  walkCycles,
@@ -50,9 +50,20 @@ func NewTLB(entries int, pageBytes int, walkCycles uint64) *TLB {
 		pages:     make([]uint64, entries),
 		prev:      make([]int, entries),
 		next:      make([]int, entries),
-		head:      -1,
-		tail:      -1,
 	}
+	t.reset()
+	return t
+}
+
+// reset empties the TLB in place and zeroes its counters: no page is
+// cached and the recency list is empty.
+func (t *TLB) reset() {
+	clear(t.idx)
+	clear(t.pages)
+	clear(t.prev)
+	clear(t.next)
+	t.head, t.tail, t.used = -1, -1, 0
+	t.Stats = TLBStats{}
 }
 
 // moveToFront makes slot s the MRU entry.

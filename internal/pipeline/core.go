@@ -221,7 +221,7 @@ func (ld *DynInst) FwdLive() bool {
 
 // Stats aggregates core-level counters. Every field is a plain uint64 (or
 // an inline stats.Hist): the per-cycle loops increment them with ordinary
-// struct-field adds, and the stats registry built at construction only
+// struct-field adds, and the stats registry (built on first use) only
 // holds pointers to them — zero overhead when hot, no allocation per event.
 type Stats struct {
 	Cycles  uint64
@@ -433,17 +433,43 @@ type Core struct {
 	squashedThisCycle bool
 
 	// statReg is the gem5-style registry of every counter above plus the
-	// memory system's, predictors', and policy's. Built once in New; the
-	// cycle loop never touches it.
+	// memory system's, predictors', and policy's. StatsRegistry builds it
+	// on first use; the cycle loop never touches it.
 	statReg *stats.Registry
 }
 
 // New builds a core for prog with the given memory system and policy
 // (nil for the unsafe baseline).
 func New(cfg Config, prog *isa.Program, hier *mem.Hierarchy, pol Policy) (*Core, error) {
+	c := new(Core)
+	if err := newCore(c, cfg, prog, hier, pol, loadedMemory(prog), predictor.NewUnit(), prog.Entry); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// Reset reinitializes c in place for a run of prog under pol, making it
+// exactly the core New(cfg, prog, h, pol) would build, where h is a fresh
+// hierarchy of c.Hier's configuration: a new functional memory loaded with
+// prog's data image, c's hierarchy and predictor reset to their
+// constructors' state, every statistic zero, Observer, Tracer and
+// TickWrote nil, and pol attached. It keeps c's storage — the ROB and
+// fetch-buffer rings, register file, LQ/SQ rings and the rest — so a run
+// of a tiny program pays for a clear instead of a construction. c's
+// hierarchy and predictor are reset and kept, so they must not be shared:
+// not with another core, nor with warm state a caller keeps (a
+// checkpoint's, say). After an error c must be Reset again before it runs.
+func (c *Core) Reset(cfg Config, prog *isa.Program, pol Policy) error {
+	c.Hier.Reset()
+	c.Pred.Reset()
+	return newCore(c, cfg, prog, c.Hier, pol, loadedMemory(prog), c.Pred, prog.Entry)
+}
+
+// loadedMemory returns a new functional memory holding prog's data image.
+func loadedMemory(prog *isa.Program) *emu.Memory {
 	m := emu.NewMemory()
 	m.LoadSegments(prog.Data)
-	return newCore(cfg, prog, hier, pol, m, predictor.NewUnit(), prog.Entry)
+	return m
 }
 
 // BootFromSnapshot builds a core that resumes from a functional snapshot
@@ -463,8 +489,8 @@ func BootFromSnapshot(cfg Config, prog *isa.Program, hier *mem.Hierarchy, pol Po
 	if pred == nil {
 		pred = predictor.NewUnit()
 	}
-	c, err := newCore(cfg, prog, hier, pol, snap.NewMemory(), pred, snap.PC)
-	if err != nil {
+	c := new(Core)
+	if err := newCore(c, cfg, prog, hier, pol, snap.NewMemory(), pred, snap.PC); err != nil {
 		return nil, err
 	}
 	// Seed the architectural register values through the reset RAT (arch
@@ -480,15 +506,21 @@ func BootFromSnapshot(cfg Config, prog *isa.Program, hier *mem.Hierarchy, pol Po
 	return c, nil
 }
 
-// newCore is the shared construction path behind New and BootFromSnapshot.
-func newCore(cfg Config, prog *isa.Program, hier *mem.Hierarchy, pol Policy, m *emu.Memory, pred *predictor.Unit, entryPC uint64) (*Core, error) {
+// newCore is the one construction path behind New, BootFromSnapshot and
+// Reset: it makes c a core at the start of a run that fetches from
+// entryPC. It reuses c's ROB and fetch-buffer rings, register file, LQ/SQ
+// rings, ALU array, RS list and free list where they are large enough,
+// cleared, and allocates them otherwise. Every other field is set by one
+// struct literal, which leaves Observer, Tracer, TickWrote and the stats
+// registry nil.
+func newCore(c *Core, cfg Config, prog *isa.Program, hier *mem.Hierarchy, pol Policy, m *emu.Memory, pred *predictor.Unit, entryPC uint64) error {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	if err := prog.Validate(); err != nil {
-		return nil, err
+		return err
 	}
-	c := &Core{
+	*c = Core{
 		Cfg:          cfg,
 		Prog:         prog,
 		Mem:          m,
@@ -496,18 +528,18 @@ func newCore(cfg Config, prog *isa.Program, hier *mem.Hierarchy, pol Policy, m *
 		Pred:         pred,
 		Pol:          pol,
 		fetchPC:      entryPC,
-		fetchBuf:     make([]fetchEntry, cfg.FetchBufferSize),
-		prf:          make([]uint64, cfg.PhysRegs),
-		prfReady:     make([]bool, cfg.PhysRegs),
-		freeList:     make([]PhysReg, 0, cfg.PhysRegs),
-		rob:          make([]DynInst, cfg.ROBSize),
-		lq:           make([]*DynInst, cfg.LQSize),
-		sq:           make([]*DynInst, cfg.SQSize),
-		aluBusyUntil: make([]uint64, cfg.ALUs),
+		fetchBuf:     reuse(c.fetchBuf, cfg.FetchBufferSize),
+		prf:          reuse(c.prf, cfg.PhysRegs),
+		prfReady:     reuse(c.prfReady, cfg.PhysRegs),
+		freeList:     reuse(c.freeList, cfg.PhysRegs)[:0],
+		rob:          reuse(c.rob, cfg.ROBSize),
+		lq:           reuse(c.lq, cfg.LQSize),
+		sq:           reuse(c.sq, cfg.SQSize),
+		aluBusyUntil: reuse(c.aluBusyUntil, cfg.ALUs),
 		// Live entries never exceed RSSize; stale references linger at most
 		// until the next issue() compaction, bounded by one squash burst
 		// plus one rename group.
-		rsList: make([]rsRef, 0, 2*cfg.RSSize+cfg.RenameWidth),
+		rsList: reuse(c.rsList, 2*cfg.RSSize+cfg.RenameWidth)[:0],
 	}
 	// Physical register 0 is the hardwired zero: always ready, never freed.
 	c.prfReady[0] = true
@@ -522,28 +554,44 @@ func newCore(cfg Config, prog *isa.Program, hier *mem.Hierarchy, pol Policy, m *
 	for p := isa.NumRegs; p < cfg.PhysRegs; p++ {
 		c.freeList = append(c.freeList, PhysReg(p))
 	}
-	c.registerStats()
 	if pol != nil {
 		pol.Attach(c)
-		if sr, ok := pol.(StatsRegistrar); ok {
-			sr.RegisterStats(c.statReg)
-		}
 	}
-	return c, nil
+	return nil
+}
+
+// reuse returns s cut to n elements and cleared when its capacity allows,
+// and a new slice of n elements otherwise.
+func reuse[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // StatsRegistrar is an optional Policy (or component) extension: implementors
-// publish their counters into the core's registry at construction.
+// publish their counters into the core's registry when it is built.
 type StatsRegistrar interface {
 	RegisterStats(r *stats.Registry)
 }
 
-// StatsRegistry exposes the core's stats registry (e.g. for Result to
-// snapshot after the run).
-func (c *Core) StatsRegistry() *stats.Registry { return c.statReg }
+// StatsRegistry returns the core's stats registry, for a caller to dump
+// after the run. The registry is built on the first call and the same one
+// is returned after that; it holds pointers to the live counters, so a
+// dump reads their values at the time of the dump. Most runs (the leakage
+// oracle's) never dump, so they never pay for registration.
+func (c *Core) StatsRegistry() *stats.Registry {
+	if c.statReg == nil {
+		c.registerStats()
+	}
+	return c.statReg
+}
 
 // registerStats publishes every simulator counter into the registry, in a
-// fixed order so dumps are deterministic. Only simulation-derived values are
+// fixed order so dumps are deterministic: the core's, the memory system's,
+// the predictor's, then the policy's. Only simulation-derived values are
 // registered — host-dependent measurements (wall time, throughput) are kept
 // off the registry entirely so stats dumps are safe for golden comparisons.
 func (c *Core) registerStats() {
@@ -606,6 +654,9 @@ func (c *Core) registerStats() {
 		c.Hier.RegisterStats(r, perKilo)
 	}
 	c.Pred.RegisterStats(r)
+	if sr, ok := c.Pol.(StatsRegistrar); ok {
+		sr.RegisterStats(r)
+	}
 }
 
 type fetchEntry struct {

@@ -24,6 +24,9 @@ func NewLoopPredictor(entries int) *LoopPredictor {
 	return &LoopPredictor{entries: make([]loopEntry, entries), mask: uint64(entries - 1)}
 }
 
+// reset forgets every loop in place.
+func (lp *LoopPredictor) reset() { clear(lp.entries) }
+
 func (lp *LoopPredictor) entry(pc uint64) *loopEntry {
 	return &lp.entries[pc&lp.mask]
 }
@@ -89,6 +92,14 @@ func NewBTB(entries int) *BTB {
 	}
 }
 
+// reset empties the BTB in place and zeroes its counters.
+func (b *BTB) reset() {
+	clear(b.tags)
+	clear(b.targets)
+	clear(b.valid)
+	b.Stats = BTBStats{}
+}
+
 // Lookup returns the predicted target for pc.
 func (b *BTB) Lookup(pc uint64) (uint64, bool) {
 	b.Stats.Lookups++
@@ -119,6 +130,12 @@ type RAS struct {
 // NewRAS builds a return address stack with the given depth.
 func NewRAS(depth int) *RAS {
 	return &RAS{stack: make([]uint64, depth)}
+}
+
+// reset empties the stack in place.
+func (r *RAS) reset() {
+	clear(r.stack)
+	r.top = 0
 }
 
 // Push records a return address (on a predicted call).
@@ -178,6 +195,13 @@ func NewIndirect(entries int) *Indirect {
 		valid:   make([]bool, entries),
 		mask:    uint64(entries - 1),
 	}
+}
+
+// reset empties the predictor in place.
+func (ip *Indirect) reset() {
+	clear(ip.tags)
+	clear(ip.targets)
+	clear(ip.valid)
 }
 
 func (ip *Indirect) index(pc uint64, hist History) uint64 {

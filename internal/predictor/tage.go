@@ -80,14 +80,25 @@ func (h History) Update(pc uint64, taken bool) History {
 	return h
 }
 
+// tageSeed is the allocation RNG's initial state.
+const tageSeed = 0x2545F491
+
 // DefaultTAGE returns the predictor used by the simulated machine, with
 // every counter and tag zero.
 func DefaultTAGE() *TAGE {
 	return &TAGE{
 		base:   new([tageBaseEntries]int8),
 		tagged: new([tageTables][tageEntries]tageEntry),
-		rng:    0x2545F491,
+		rng:    tageSeed,
 	}
+}
+
+// reset returns t in place to the state DefaultTAGE builds.
+func (t *TAGE) reset() {
+	*t.base = [tageBaseEntries]int8{}
+	*t.tagged = [tageTables][tageEntries]tageEntry{}
+	t.rng = tageSeed
+	t.Stats = TAGEStats{}
 }
 
 // fold compresses the low histLen bits of h into outBits by XOR-ing

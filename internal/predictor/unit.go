@@ -38,6 +38,20 @@ func NewUnit() *Unit {
 	}
 }
 
+// Reset returns the unit in place to the state NewUnit builds: every
+// table, counter and tag zero, TAGE's allocation RNG reseeded, the RAS
+// empty, and the history and every statistic cleared. It keeps the
+// tables' storage, so a reset costs a clear instead of an allocation.
+func (u *Unit) Reset() {
+	u.Tage.reset()
+	u.Loop.reset()
+	u.Btb.reset()
+	u.Ras.reset()
+	u.Ind.reset()
+	u.Hist = History{}
+	u.Stats = UnitStats{}
+}
+
 // Checkpoint is the per-branch snapshot needed to look up, train, and — on
 // a squash — repair the front end.
 type Checkpoint struct {

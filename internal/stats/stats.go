@@ -10,8 +10,9 @@
 //     taint.Stats, ...). The per-cycle loops increment them with ordinary
 //     struct-field adds — no map lookups, no interface calls, no
 //     allocation per event.
-//   - A Registry is built once at construction (pipeline.New registers the
-//     core, memory system, predictors, and the attached policy). It only
+//   - A Registry is built on first use (pipeline.Core.StatsRegistry
+//     registers the core, memory system, predictors, and the attached
+//     policy), so a run that never dumps never builds one. It only
 //     records names, descriptions, and pointers to those fields.
 //   - Dump snapshots the registry into a serializable, deterministic form
 //     after the run; formulas are evaluated exactly once, at dump time.
