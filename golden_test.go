@@ -12,12 +12,16 @@ package spt_test
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"spt"
+	"spt/internal/fuzz"
+	"spt/internal/isa"
+	"spt/internal/symx"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files under testdata/")
@@ -162,4 +166,47 @@ func TestGoldenWidthSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "width_sweep.golden", spt.WidthSweepText(rows))
+}
+
+// TestGoldenSymxResults pins the symbolic oracle's answer on every cell of
+// the corpus plus generated gadgets 1–64 under every scheme and model: the
+// verdict, method and event count, plus the witness pair and divergence of
+// a leak or the reason of an abstention. The two-oracle tests only check
+// that the oracles agree; this fixture holds the exact answer, including
+// the enumeration fallback's.
+func TestGoldenSymxResults(t *testing.T) {
+	entries, err := fuzz.LoadCorpus(filepath.Join("testdata", "fuzz"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	var progs []*isa.Program
+	for _, e := range entries {
+		names, progs = append(names, e.Name), append(progs, e.Prog)
+	}
+	for seed := int64(1); seed <= 64; seed++ {
+		c := fuzz.Generate(seed)
+		names, progs = append(names, c.Name), append(progs, c.Prog)
+	}
+	var sb strings.Builder
+	for i, p := range progs {
+		for _, scheme := range fuzz.SchemeNames() {
+			for _, model := range fuzz.ModelNames() {
+				fmt.Fprintf(&sb, "%s %s/%s ", names[i], scheme, model)
+				res, err := symx.Verify(p, scheme, model, fuzz.SymxConfig())
+				switch {
+				case err != nil:
+					fmt.Fprintf(&sb, "error: %v\n", err)
+				case res.Verdict == symx.VerdictLeak:
+					fmt.Fprintf(&sb, "%s %s events=%d witness=%#x/%#x %s\n", res.Verdict, res.Method, res.Events,
+						res.Witness.SecretA, res.Witness.SecretB, res.Witness.Divergence)
+				case res.Verdict == symx.VerdictUnknown:
+					fmt.Fprintf(&sb, "%s %s events=%d reason: %s\n", res.Verdict, res.Method, res.Events, res.Reason)
+				default:
+					fmt.Fprintf(&sb, "%s %s events=%d\n", res.Verdict, res.Method, res.Events)
+				}
+			}
+		}
+	}
+	checkGolden(t, "symx_results.golden", sb.String())
 }
