@@ -16,7 +16,9 @@
 // every cell and match the recorded ground truth, 1 on any soundness
 // disagreement (symbolic-secure with a concrete divergence, or a
 // symbolic witness the pipeline cannot reproduce) or ground-truth
-// mismatch.
+// mismatch. A usage error (nothing to verify, a negative -count, an
+// unknown scheme or model) or any other failure exits 2, an interrupt
+// 130.
 package main
 
 import (
@@ -47,8 +49,8 @@ func main() {
 	)
 	flag.Parse()
 
-	if *corpus == "" && *count == 0 {
-		fatal(fmt.Errorf("nothing to verify: pass -corpus and/or -count"))
+	if err := checkArgs(*corpus, *count); err != nil {
+		fatal(err)
 	}
 
 	// SIGINT/SIGTERM cancel the campaign context: the cell pool stops
@@ -121,6 +123,18 @@ func main() {
 	}
 }
 
+// checkArgs rejects a campaign with nothing to verify or a negative
+// gadget count before anything runs.
+func checkArgs(corpus string, count int) error {
+	if count < 0 {
+		return fmt.Errorf("-count must be >= 0, got %d", count)
+	}
+	if corpus == "" && count == 0 {
+		return fmt.Errorf("nothing to verify: pass -corpus and/or -count")
+	}
+	return nil
+}
+
 // splitList parses a comma-separated flag value, ignoring empty items.
 func splitList(s string) []string {
 	var out []string
@@ -132,7 +146,9 @@ func splitList(s string) []string {
 	return out
 }
 
+// fatal reports a usage error or a failure to run the campaign; exit 1
+// is reserved for the campaign's own soundness verdict.
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "spt-verify:", err)
-	os.Exit(1)
+	os.Exit(2)
 }

@@ -198,25 +198,23 @@ type errBudget struct{}
 
 func (errBudget) Error() string { return "symx: work budget exhausted" }
 
-// image is a program's initial data memory as byte terms. One Verify or
-// ObservationEvents call builds it once and shares it, read-only, with
-// every machine the call runs: the symbolic pass, confirm's two replays,
-// and all the enumeration replays of the secret domain. No machine writes
-// it; each keeps its secret bytes and its own stores in a private map.
-type image map[uint64]*Term
+// image is a program's initial data memory: the program's own segments,
+// read in place. Every machine one Verify or ObservationEvents call runs
+// shares it read-only: the symbolic pass, confirm's two replays, and all
+// the enumeration replays of the secret domain. No machine writes it; each
+// keeps its secret bytes and its own stores in a private map.
+type image []isa.Segment
 
-func newImage(prog *isa.Program) image {
-	n := 0
-	for _, seg := range prog.Data {
-		n += len(seg.Bytes)
-	}
-	img := make(image, n)
-	for _, seg := range prog.Data {
-		for i, b := range seg.Bytes {
-			img[seg.Addr+uint64(i)] = Const(uint64(b))
+func newImage(prog *isa.Program) image { return prog.Data }
+
+// at returns the image byte at a; validated segments do not overlap.
+func (img image) at(a uint64) (byte, bool) {
+	for _, seg := range img {
+		if a-seg.Addr < uint64(len(seg.Bytes)) {
+			return seg.Bytes[a-seg.Addr], true
 		}
 	}
-	return img
+	return 0, false
 }
 
 // machine executes one program under the relational speculative
@@ -234,37 +232,72 @@ type machine struct {
 	// in concrete replays (where every term folds).
 	ctx    *termCtx
 	budget *int64
+	// terms allocates every term the run builds.
+	terms termSlab
 
 	regs [isa.NumRegs]*Term
 	// mem holds the secret bytes and this machine's architectural stores;
 	// a byte absent here reads from img, the shared program image.
-	mem    map[uint64]*Term
-	img    image
-	ras    []uint64
-	trace  []Event
-	digest uint64 // FNV-1a over the architectural execution, as in fuzz.archDigest
+	mem map[uint64]*Term
+	img image
+	// overlay holds the current transient episode's stores, and specRAS
+	// its return-address stack.
+	overlay map[uint64]*Term
+	specRAS []uint64
+	ras     []uint64
+	trace   []Event
+	digest  uint64 // FNV-1a over the architectural execution, as in fuzz.archDigest
 }
 
 var zeroTerm = Const(0)
 
-// newMachine starts prog on its data image img. secret == nil runs
-// symbolically; otherwise the given concrete secret bytes are patched in.
-func newMachine(prog *isa.Program, img image, pol policy, cfg Config, ctx *termCtx, budget *int64, secret []byte) *machine {
-	m := &machine{prog: prog, pol: pol, cfg: cfg, ctx: ctx, budget: budget,
-		mem: map[uint64]*Term{}, img: img, digest: 14695981039346656037}
+// newMachine builds a machine for prog on its data image img; reset
+// readies it for a run.
+func newMachine(prog *isa.Program, img image, pol policy, cfg Config, ctx *termCtx, budget *int64) *machine {
+	return &machine{prog: prog, pol: pol, cfg: cfg, ctx: ctx, budget: budget,
+		mem: map[uint64]*Term{}, img: img, overlay: map[uint64]*Term{}}
+}
+
+// reset readies the machine for a run: secret == nil runs symbolically;
+// otherwise the given concrete secret bytes are patched in. Registers,
+// return stack, trace and private memory start empty, and the slab is
+// recycled; each episode empties the overlay as it opens. The enumeration
+// fallback resets one machine per domain point. Only a concrete machine
+// may be reset after a run: a symbolic one's terms key its termCtx memo.
+func (m *machine) reset(secret []byte) {
 	for i := range m.regs {
 		m.regs[i] = zeroTerm
 	}
-	for i := 0; i < cfg.Secret.Size; i++ {
-		a := cfg.Secret.Addr + uint64(i)
+	m.ras = m.ras[:0]
+	m.trace = m.trace[:0]
+	clear(m.mem)
+	m.terms.reset()
+	m.digest = 14695981039346656037
+	for i := 0; i < m.cfg.Secret.Size; i++ {
+		a := m.cfg.Secret.Addr + uint64(i)
 		if secret == nil {
 			m.mem[a] = SecretByte(i)
 		} else {
 			m.mem[a] = Const(uint64(secret[i]))
 		}
 	}
-	return m
 }
+
+// concreteEvents evaluates a finished concrete run's trace at its secret.
+func (m *machine) concreteEvents(secret []byte) []cEvent {
+	out := make([]cEvent, len(m.trace))
+	for i, ev := range m.trace {
+		out[i] = cEvent{Kind: ev.Kind, Addr: ev.Addr.Eval(secret)}
+	}
+	return out
+}
+
+// konst, op2 and opImm build the run's terms on its slab.
+func (m *machine) konst(v uint64) *Term { return m.terms.newConst(v) }
+
+func (m *machine) op2(op isa.Op, a, b *Term) *Term { return m.terms.newOp(op, a, b, 0) }
+
+func (m *machine) opImm(op isa.Op, a *Term, imm int64) *Term { return m.terms.newOp(op, a, nil, imm) }
 
 func (m *machine) mix(v uint64) {
 	m.digest ^= v
@@ -290,15 +323,29 @@ func (m *machine) memByte(overlay map[uint64]*Term, a uint64) *Term {
 	if t, ok := m.mem[a]; ok {
 		return t
 	}
-	if t, ok := m.img[a]; ok {
-		return t
+	if b, ok := m.img.at(a); ok {
+		return Const(uint64(b))
 	}
 	return zeroTerm
 }
 
 // readMem assembles a little-endian load of size bytes at a concrete
-// address.
+// address. An all-constant word, every load of a concrete run, is built
+// directly; a word with a symbolic byte goes through readMemBytes.
 func (m *machine) readMem(overlay map[uint64]*Term, addr uint64, size int) *Term {
+	var v uint64
+	for i := 0; i < size; i++ {
+		c, ok := m.memByte(overlay, addr+uint64(i)).ConstVal()
+		if !ok {
+			return m.readMemBytes(overlay, addr, size)
+		}
+		v |= c << (8 * i)
+	}
+	return m.konst(v)
+}
+
+// readMemBytes assembles the load as a shift-and-OR term over its bytes.
+func (m *machine) readMemBytes(overlay map[uint64]*Term, addr uint64, size int) *Term {
 	if size == 1 {
 		return m.memByte(overlay, addr)
 	}
@@ -306,21 +353,34 @@ func (m *machine) readMem(overlay map[uint64]*Term, addr uint64, size int) *Term
 	for i := 0; i < size; i++ {
 		b := m.memByte(overlay, addr+uint64(i))
 		if i > 0 {
-			b = OpImm(isa.SHLI, b, int64(8*i))
+			b = m.opImm(isa.SHLI, b, int64(8*i))
 		}
-		acc = Op2(isa.OR, acc, b)
+		acc = m.op2(isa.OR, acc, b)
 	}
 	return acc
 }
 
-// writeMem decomposes a store into byte terms.
+// writeMem decomposes a store into byte terms: a constant splits directly
+// into shared byte constants, a symbolic value goes through writeMemBytes.
 func (m *machine) writeMem(dst map[uint64]*Term, addr uint64, size int, v *Term) {
+	c, ok := v.ConstVal()
+	if !ok {
+		m.writeMemBytes(dst, addr, size, v)
+		return
+	}
+	for i := 0; i < size; i++ {
+		dst[addr+uint64(i)] = Const(c >> (8 * i) & 0xFF)
+	}
+}
+
+// writeMemBytes stores each byte as a shift-and-mask term of v.
+func (m *machine) writeMemBytes(dst map[uint64]*Term, addr uint64, size int, v *Term) {
 	for i := 0; i < size; i++ {
 		b := v
 		if i > 0 {
-			b = OpImm(isa.SHRI, b, int64(8*i))
+			b = m.opImm(isa.SHRI, b, int64(8*i))
 		}
-		dst[addr+uint64(i)] = OpImm(isa.ANDI, b, 0xFF)
+		dst[addr+uint64(i)] = m.opImm(isa.ANDI, b, 0xFF)
 	}
 }
 
@@ -428,24 +488,24 @@ func (m *machine) run() error {
 		case ins.Op == isa.NOP:
 
 		case ins.Op == isa.MOVI:
-			m.setReg(ins.Rd, Const(uint64(ins.Imm)))
+			m.setReg(ins.Rd, m.konst(uint64(ins.Imm)))
 
 		case ins.Op == isa.MOV:
 			m.setReg(ins.Rd, m.reg(ins.Rs1))
 
 		case ins.IsLoad():
-			addrT := OpImm(isa.ADDI, m.reg(ins.Rs1), ins.Imm)
+			addrT := m.opImm(isa.ADDI, m.reg(ins.Rs1), ins.Imm)
 			addr, ok := m.uniform(addrT)
 			if !ok {
 				wa, wb := m.witness(addrT)
 				return ErrArchLeak{What: "load address", PC: pc, SecretA: wa, SecretB: wb}
 			}
 			m.mix(addr)
-			m.emit('L', OpImm(isa.ANDI, addrT, lineMask), false, pc)
+			m.emit('L', m.opImm(isa.ANDI, addrT, lineMask), false, pc)
 			m.setReg(ins.Rd, m.readMem(nil, addr, ins.MemSize()))
 
 		case ins.IsStore():
-			addrT := OpImm(isa.ADDI, m.reg(ins.Rs1), ins.Imm)
+			addrT := m.opImm(isa.ADDI, m.reg(ins.Rs1), ins.Imm)
 			addr, ok := m.uniform(addrT)
 			if !ok {
 				wa, wb := m.witness(addrT)
@@ -466,15 +526,15 @@ func (m *machine) run() error {
 			if err := m.episode(next, memEpisode, m.pol.mem); err != nil {
 				return err
 			}
-			m.emit('T', OpImm(isa.ANDI, addrT, pageMask), false, pc)
-			m.emit('W', OpImm(isa.ANDI, addrT, lineMask), false, pc)
+			m.emit('T', m.opImm(isa.ANDI, addrT, pageMask), false, pc)
+			m.emit('W', m.opImm(isa.ANDI, addrT, lineMask), false, pc)
 			m.writeMem(m.mem, addr, ins.MemSize(), valT)
 
 		case ins.IsCondBranch():
 			taken, ok, wa, wb := m.branchDir(ins.Op, m.reg(ins.Rs1), m.reg(ins.Rs2))
 			if !ok {
 				if wa == nil {
-					wa, wb = m.witness(Op2(isa.XOR, m.reg(ins.Rs1), m.reg(ins.Rs2)))
+					wa, wb = m.witness(m.op2(isa.XOR, m.reg(ins.Rs1), m.reg(ins.Rs2)))
 				}
 				return ErrArchLeak{What: "branch direction", PC: pc, SecretA: wa, SecretB: wb}
 			}
@@ -501,11 +561,11 @@ func (m *machine) run() error {
 			if ins.IsCall() {
 				m.ras = append(m.ras, pc+1)
 			}
-			m.setReg(ins.Rd, Const(pc+1))
+			m.setReg(ins.Rd, m.konst(pc+1))
 			next = pc + uint64(ins.Imm)
 
 		case ins.Op == isa.JALR:
-			targetT := OpImm(isa.ADDI, m.reg(ins.Rs1), ins.Imm)
+			targetT := m.opImm(isa.ADDI, m.reg(ins.Rs1), ins.Imm)
 			target, ok := m.uniform(targetT)
 			if !ok {
 				wa, wb := m.witness(targetT)
@@ -520,7 +580,7 @@ func (m *machine) run() error {
 			if ins.IsCall() {
 				m.ras = append(m.ras, pc+1)
 			}
-			m.setReg(ins.Rd, Const(pc+1))
+			m.setReg(ins.Rd, m.konst(pc+1))
 			if predicted != target {
 				// The return-address stack (returns) or fall-through
 				// fetch (BTB-cold indirect jumps) predicts the wrong
@@ -532,10 +592,10 @@ func (m *machine) run() error {
 			next = target
 
 		case isImmALU(ins.Op):
-			m.setReg(ins.Rd, OpImm(ins.Op, m.reg(ins.Rs1), ins.Imm))
+			m.setReg(ins.Rd, m.opImm(ins.Op, m.reg(ins.Rs1), ins.Imm))
 
 		default:
-			m.setReg(ins.Rd, Op2(ins.Op, m.reg(ins.Rs1), m.reg(ins.Rs2)))
+			m.setReg(ins.Rd, m.op2(ins.Op, m.reg(ins.Rs1), m.reg(ins.Rs2)))
 		}
 		pc = next
 	}
@@ -569,8 +629,9 @@ func (m *machine) episode(start uint64, kind episodeKind, prot protClass) error 
 	}
 	code := m.prog.Code
 	regs := m.regs
-	ras := append([]uint64(nil), m.ras...)
-	overlay := map[uint64]*Term{}
+	m.specRAS = append(m.specRAS[:0], m.ras...)
+	clear(m.overlay)
+	overlay := m.overlay
 	// taint marks registers whose value was produced by a load issued
 	// inside this episode (STT's speculative taint); poison marks
 	// registers whose producing load was itself delayed, so the value
@@ -634,7 +695,7 @@ func (m *machine) episode(start uint64, kind episodeKind, prot protClass) error 
 		case ins.Op == isa.NOP:
 
 		case ins.Op == isa.MOVI:
-			set(ins.Rd, Const(uint64(ins.Imm)), false, false)
+			set(ins.Rd, m.konst(uint64(ins.Imm)), false, false)
 
 		case ins.Op == isa.MOV:
 			set(ins.Rd, get(ins.Rs1), taint[ins.Rs1], poison[ins.Rs1])
@@ -648,8 +709,8 @@ func (m *machine) episode(start uint64, kind episodeKind, prot protClass) error 
 				set(ins.Rd, zeroTerm, true, true)
 				break
 			}
-			addrT := OpImm(isa.ADDI, get(ins.Rs1), ins.Imm)
-			m.emit('L', OpImm(isa.ANDI, addrT, lineMask), true, pc)
+			addrT := m.opImm(isa.ADDI, get(ins.Rs1), ins.Imm)
+			m.emit('L', m.opImm(isa.ANDI, addrT, lineMask), true, pc)
 			var val *Term
 			if addr, ok := m.uniform(addrT); ok {
 				val = m.readMem(overlay, addr, ins.MemSize())
@@ -665,8 +726,8 @@ func (m *machine) episode(start uint64, kind episodeKind, prot protClass) error 
 			if poisoned(ins.Rs1) || (prot == protTaint && tainted(ins.Rs1)) {
 				break // the translation (the observable event) is delayed past squash
 			}
-			addrT := OpImm(isa.ADDI, get(ins.Rs1), ins.Imm)
-			m.emit('T', OpImm(isa.ANDI, addrT, pageMask), true, pc)
+			addrT := m.opImm(isa.ADDI, get(ins.Rs1), ins.Imm)
+			m.emit('T', m.opImm(isa.ANDI, addrT, pageMask), true, pc)
 			// No 'W': the retirement write never happens on a squashed path.
 			addr, ok := m.uniform(addrT)
 			if !ok {
@@ -692,47 +753,47 @@ func (m *machine) episode(start uint64, kind episodeKind, prot protClass) error 
 				// Direction mispredict inside the window: the resolve
 				// squashes and refetches, which the receiver observes as
 				// the replay of younger accesses.
-				m.emit('B', Const(pc+uint64(ins.Imm)), true, pc)
+				m.emit('B', m.konst(pc+uint64(ins.Imm)), true, pc)
 				next = pc + uint64(ins.Imm)
 			}
 
 		case ins.Op == isa.JAL:
 			if ins.IsCall() {
-				ras = append(ras, pc+1)
+				m.specRAS = append(m.specRAS, pc+1)
 			}
-			set(ins.Rd, Const(pc+1), false, false)
+			set(ins.Rd, m.konst(pc+1), false, false)
 			next = pc + uint64(ins.Imm)
 
 		case ins.Op == isa.JALR:
 			predicted := pc + 1
-			if ins.IsReturn() && len(ras) > 0 {
-				predicted = ras[len(ras)-1]
-				ras = ras[:len(ras)-1]
+			if ins.IsReturn() && len(m.specRAS) > 0 {
+				predicted = m.specRAS[len(m.specRAS)-1]
+				m.specRAS = m.specRAS[:len(m.specRAS)-1]
 			}
 			if ins.IsCall() {
-				ras = append(ras, pc+1)
+				m.specRAS = append(m.specRAS, pc+1)
 			}
 			if !resolves(ins.Rs1) {
-				set(ins.Rd, Const(pc+1), false, false)
+				set(ins.Rd, m.konst(pc+1), false, false)
 				next = predicted
 				break
 			}
-			targetT := OpImm(isa.ADDI, get(ins.Rs1), ins.Imm)
+			targetT := m.opImm(isa.ADDI, get(ins.Rs1), ins.Imm)
 			target, ok := m.uniform(targetT)
 			if !ok {
 				return errNonUniform{what: "transient jump target", pc: pc}
 			}
-			set(ins.Rd, Const(pc+1), false, false)
+			set(ins.Rd, m.konst(pc+1), false, false)
 			if target != predicted {
-				m.emit('B', Const(target), true, pc)
+				m.emit('B', m.konst(target), true, pc)
 			}
 			next = target
 
 		case isImmALU(ins.Op):
-			set(ins.Rd, OpImm(ins.Op, get(ins.Rs1), ins.Imm), taint[ins.Rs1], poison[ins.Rs1])
+			set(ins.Rd, m.opImm(ins.Op, get(ins.Rs1), ins.Imm), taint[ins.Rs1], poison[ins.Rs1])
 
 		default:
-			set(ins.Rd, Op2(ins.Op, get(ins.Rs1), get(ins.Rs2)),
+			set(ins.Rd, m.op2(ins.Op, get(ins.Rs1), get(ins.Rs2)),
 				taint[ins.Rs1] || taint[ins.Rs2], poison[ins.Rs1] || poison[ins.Rs2])
 		}
 		pc = next

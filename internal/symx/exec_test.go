@@ -172,18 +172,18 @@ func TestEnumerationFallback(t *testing.T) {
 	}
 }
 
-// TestImageSharedReadOnly pins that the data image one Verify call
-// shares among all its machines stays read-only. The gadget overwrites
-// its own data byte D architecturally and on two transient paths (the
-// store-bypass window, which sees the stale D and falls into the gadget,
-// and the mispredicted fall-through of the guard), reloads D on each,
-// and turns every load of D into a line address. Its bypass window also
-// branches on the secret, so the verdict needs the enumeration fallback:
-// 256 replays on one image. A store reaching the image would show in the
-// next replay's first load of D.
-func TestImageSharedReadOnly(t *testing.T) {
-	const dAddr = 0x2040
-	p := &isa.Program{
+// selfOverwriteD is the address of selfOverwrite's data byte D.
+const selfOverwriteD = 0x2040
+
+// selfOverwrite overwrites its own data byte D architecturally and on two
+// transient paths (the store-bypass window, which sees the stale D and
+// falls into the gadget, and the mispredicted fall-through of the guard),
+// reloads D on each, and turns every load of D into a line address. Its
+// bypass window also branches on the secret, so its verdict needs the
+// enumeration fallback.
+func selfOverwrite() *isa.Program {
+	const dAddr = selfOverwriteD
+	return &isa.Program{
 		Name: "self-overwrite",
 		Code: []isa.Instruction{
 			ins(isa.LDB, 2, isa.Zero, 0, dAddr), // D is 3 in the image
@@ -212,12 +212,31 @@ func TestImageSharedReadOnly(t *testing.T) {
 			{Addr: dAddr, Bytes: []byte{3}},
 		},
 	}
+}
+
+// cloneImage deep-copies an image's segments.
+func cloneImage(img image) image {
+	out := make(image, len(img))
+	for i, seg := range img {
+		out[i] = isa.Segment{Addr: seg.Addr, Bytes: append([]byte(nil), seg.Bytes...)}
+	}
+	return out
+}
+
+// TestImageSharedReadOnly pins that the data image one Verify call
+// shares among all its machines — the program's own segments — stays
+// read-only. selfOverwrite's verdict takes 256 replays on one image; a
+// store reaching the image would show in the next replay's first load of
+// D.
+func TestImageSharedReadOnly(t *testing.T) {
+	p := selfOverwrite()
 	cfg := testCfg().withDefaults()
 	pol, err := policyFor("unsafe", "futuristic")
 	if err != nil {
 		t.Fatal(err)
 	}
 	img := newImage(p)
+	orig := cloneImage(img)
 	res, err := verify(p, img, pol, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -225,8 +244,9 @@ func TestImageSharedReadOnly(t *testing.T) {
 	if res.Method != "enumeration" {
 		t.Fatalf("verdict %v via %s (%s), want the enumeration fallback", res.Verdict, res.Method, res.Reason)
 	}
-	if !reflect.DeepEqual(img, newImage(p)) {
-		t.Fatalf("image after Verify differs from a fresh one: D = %v", img[dAddr])
+	if !reflect.DeepEqual(img, orig) {
+		d, _ := img.at(selfOverwriteD)
+		t.Fatalf("image after Verify differs from the program's data: D = %d", d)
 	}
 	budget := cfg.MaxWork
 	traces, _, err := replayDomain(p, img, pol, cfg, &budget)
@@ -247,8 +267,9 @@ func TestImageSharedReadOnly(t *testing.T) {
 			t.Fatalf("secret %#x: enumeration replay differs from a fresh run: %s", secret, d)
 		}
 	}
-	if !reflect.DeepEqual(img, newImage(p)) {
-		t.Fatalf("image after the replays differs from a fresh one: D = %v", img[dAddr])
+	if !reflect.DeepEqual(img, orig) {
+		d, _ := img.at(selfOverwriteD)
+		t.Fatalf("image after the replays differs from the program's data: D = %d", d)
 	}
 }
 
@@ -316,7 +337,8 @@ func TestArchEquivalence(t *testing.T) {
 		}
 	}
 	budget := int64(1 << 20)
-	m := newMachine(p, newImage(p), policy{}, testCfg().withDefaults(), nil, &budget, []byte{0x5A})
+	m := newMachine(p, newImage(p), policy{}, testCfg().withDefaults(), nil, &budget)
+	m.reset([]byte{0x5A})
 	if err := m.run(); err != nil {
 		t.Fatal(err)
 	}

@@ -66,10 +66,18 @@ type Term struct {
 	varbits uint64
 }
 
+// smallConsts are the shared concrete terms for every byte value: terms
+// are immutable, so one table serves every Const below 256 — each memory
+// byte of a concrete run, and most small immediates — without allocating.
+var smallConsts = func() (t [256]Term) {
+	for i := range t {
+		t[i] = Term{kind: kConst, val: uint64(i), base: uint64(i)}
+	}
+	return t
+}()
+
 // Const builds a concrete term.
-func Const(v uint64) *Term {
-	return &Term{kind: kConst, val: v, base: v}
-}
+func Const(v uint64) *Term { return heapTerms.newConst(v) }
 
 // SecretByte builds the symbolic term for secret byte i (zero-extended).
 func SecretByte(i int) *Term {
@@ -192,31 +200,82 @@ func opVarbits(op isa.Op, a, b *Term, imm int64) uint64 {
 	return ^uint64(0)
 }
 
-// newOp builds op(a, b/imm), folding to a constant when both operands are
-// concrete or when varbits proves the secret cannot reach the result.
-func newOp(op isa.Op, a, b *Term, imm int64) *Term {
+// fold computes op(a, b/imm)'s value at the all-zero secret and its
+// varbits. A zero varbits means the result is the constant base: both
+// operands are concrete, or the secret provably cannot influence any
+// result bit, so the value at the all-zero secret is the value everywhere.
+func fold(op isa.Op, a, b *Term, imm int64) (base, varbits uint64) {
 	var bBase uint64
 	if b != nil {
 		bBase = b.base
 	}
-	base := emu.ALU(op, a.base, bBase, imm)
+	base = emu.ALU(op, a.base, bBase, imm)
 	if a.kind == kConst && (b == nil || b.kind == kConst) {
-		return Const(base)
+		return base, 0
 	}
-	vb := opVarbits(op, a, b, imm)
-	if vb == 0 {
-		// The secret provably cannot influence any result bit, so the
-		// value at the all-zero secret is the value everywhere.
-		return Const(base)
-	}
-	return &Term{kind: kOp, op: op, a: a, b: b, imm: imm, base: base, varbits: vb}
+	return base, opVarbits(op, a, b, imm)
 }
 
 // Op2 applies a register-register ALU operation to two terms.
-func Op2(op isa.Op, a, b *Term) *Term { return newOp(op, a, b, 0) }
+func Op2(op isa.Op, a, b *Term) *Term { return heapTerms.newOp(op, a, b, 0) }
 
 // OpImm applies a register-immediate ALU operation to a term.
-func OpImm(op isa.Op, a *Term, imm int64) *Term { return newOp(op, a, nil, imm) }
+func OpImm(op isa.Op, a *Term, imm int64) *Term { return heapTerms.newOp(op, a, nil, imm) }
+
+// termSlab allocates terms from fixed-capacity chunks it owns. A chunk
+// never grows, so a term's address is stable for the slab's life
+// (termCtx.memo keys on it); reset recycles every chunk, which is what
+// lets the enumeration fallback's replays run without allocating. A nil
+// slab allocates each term on the heap: the package-level constructors
+// and a machine share one folding path either way.
+type termSlab struct {
+	chunks [][]Term
+	n      int // terms handed out since the last reset
+}
+
+// slabChunk is the capacity of one slab chunk.
+const slabChunk = 128
+
+// heapTerms is the nil slab behind Const, Op2 and OpImm.
+var heapTerms *termSlab
+
+func (s *termSlab) alloc() *Term {
+	if s == nil {
+		return new(Term)
+	}
+	c, i := s.n/slabChunk, s.n%slabChunk
+	if c == len(s.chunks) {
+		s.chunks = append(s.chunks, make([]Term, slabChunk))
+	}
+	s.n++
+	return &s.chunks[c][i]
+}
+
+// reset recycles every term handed out. No term from before the reset may
+// be referenced after it.
+func (s *termSlab) reset() { s.n = 0 }
+
+// newConst builds a concrete term; byte values share smallConsts.
+func (s *termSlab) newConst(v uint64) *Term {
+	if v < uint64(len(smallConsts)) {
+		return &smallConsts[v]
+	}
+	t := s.alloc()
+	*t = Term{kind: kConst, val: v, base: v}
+	return t
+}
+
+// newOp builds op(a, b/imm), folding to a constant when fold proves the
+// result secret-independent.
+func (s *termSlab) newOp(op isa.Op, a, b *Term, imm int64) *Term {
+	base, vb := fold(op, a, b, imm)
+	if vb == 0 {
+		return s.newConst(base)
+	}
+	t := s.alloc()
+	*t = Term{kind: kOp, op: op, a: a, b: b, imm: imm, base: base, varbits: vb}
+	return t
+}
 
 // Eval substitutes concrete secret bytes into the term. Substitution
 // commutes with construction: Eval(Op2(op,a,b), s) equals

@@ -90,7 +90,8 @@ func verify(prog *isa.Program, img image, pol policy, cfg Config) (Result, error
 		ctx = newTermCtx(cfg.Secret.Size)
 	}
 
-	m := newMachine(prog, img, pol, cfg, ctx, &budget, nil)
+	m := newMachine(prog, img, pol, cfg, ctx, &budget)
+	m.reset(nil)
 	switch err := m.run(); err.(type) {
 	case nil:
 		return classify(m, prog, pol, cfg, ctx, &budget)
@@ -127,7 +128,8 @@ func ObservationEvents(prog *isa.Program, scheme, model string, cfg Config, secr
 	if secret == nil && cfg.Secret.Size <= maxEnumBytes {
 		ctx = newTermCtx(cfg.Secret.Size)
 	}
-	m := newMachine(prog, newImage(prog), pol, cfg, ctx, &budget, secret)
+	m := newMachine(prog, newImage(prog), pol, cfg, ctx, &budget)
+	m.reset(secret)
 	if err := m.run(); err != nil {
 		return nil, err
 	}
@@ -165,18 +167,16 @@ func classify(m *machine, prog *isa.Program, pol policy, cfg Config, ctx *termCt
 	return Result{Verdict: VerdictSecure, Method: "symbolic", Events: len(m.trace)}, nil
 }
 
-// concreteTrace replays prog on its image with a concrete secret and
-// returns the observation trace and the architectural digest.
+// concreteTrace replays prog on its image with a concrete secret on a
+// fresh machine and returns the observation trace and the architectural
+// digest. It is the reference replayDomain's reused machine is held to.
 func concreteTrace(prog *isa.Program, img image, pol policy, cfg Config, budget *int64, secret []byte) ([]cEvent, uint64, error) {
-	m := newMachine(prog, img, pol, cfg, nil, budget, secret)
+	m := newMachine(prog, img, pol, cfg, nil, budget)
+	m.reset(secret)
 	if err := m.run(); err != nil {
 		return nil, 0, err
 	}
-	out := make([]cEvent, len(m.trace))
-	for i, ev := range m.trace {
-		out[i] = cEvent{Kind: ev.Kind, Addr: ev.Addr.Eval(secret)}
-	}
-	return out, m.digest, nil
+	return m.concreteEvents(secret), m.digest, nil
 }
 
 // confirm replays a candidate witness pair concretely; nil means the
@@ -251,23 +251,26 @@ func enumerate(prog *isa.Program, img image, pol policy, cfg Config, budget *int
 }
 
 // replayDomain replays prog concretely at every point of the secret
-// domain, in domain order, every replay on the one shared image. It
+// domain, in domain order, on one machine reset between points and on the
+// one shared image: each replay matches concreteTrace's fresh machine. It
 // returns errBudget bare when the work bound runs out.
 func replayDomain(prog *isa.Program, img image, pol policy, cfg Config, budget *int64) ([][]cEvent, []uint64, error) {
 	size := 1 << (8 * cfg.Secret.Size)
 	traces := make([][]cEvent, size)
 	digests := make([]uint64, size)
+	m := newMachine(prog, img, pol, cfg, nil, budget)
 	for i := 0; i < size; i++ {
 		s := domainSecret(i, cfg.Secret.Size)
-		tr, dg, err := concreteTrace(prog, img, pol, cfg, budget, s)
+		m.reset(s)
+		err := m.run()
 		if _, ok := err.(errBudget); ok {
 			return nil, nil, err
 		}
 		if err != nil {
 			return nil, nil, fmt.Errorf("symx: %s secret=%#x: %w", prog.Name, s, err)
 		}
-		traces[i] = tr
-		digests[i] = dg
+		traces[i] = m.concreteEvents(s)
+		digests[i] = m.digest
 	}
 	return traces, digests, nil
 }

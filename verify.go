@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"spt/internal/fuzz"
+	"spt/internal/isa"
 	"spt/internal/symx"
 )
 
@@ -26,7 +27,7 @@ type VerifyOptions struct {
 	// Seed+i. Default 1.
 	Seed int64
 	// Count is the number of generated gadgets; 0 runs a corpus-only
-	// campaign.
+	// campaign. A negative Count is an error.
 	Count int
 	// Schemes to test; default Schemes() (all eight Table 2 configs).
 	Schemes []Scheme
@@ -231,6 +232,9 @@ func verifyExpectation(e fuzz.CorpusEntry, scheme Scheme, model AttackModel) str
 // enumeration order, so the report is independent of Jobs.
 func RunVerify(opt VerifyOptions) (*VerifyReport, error) {
 	opt = opt.withDefaults()
+	if opt.Count < 0 {
+		return nil, fmt.Errorf("spt: verify count %d is negative", opt.Count)
+	}
 
 	var entries []fuzz.CorpusEntry
 	if opt.CorpusDir != "" {
@@ -240,12 +244,17 @@ func RunVerify(opt VerifyOptions) (*VerifyReport, error) {
 			return nil, err
 		}
 	}
-	progFor := func(j VerifyJob) *fuzz.CorpusEntry {
+	// Each gadget is generated once; the cells share it read-only, as they
+	// share corpus programs.
+	cases := make([]fuzz.Case, opt.Count)
+	for i := range cases {
+		cases[i] = fuzz.Generate(opt.Seed + int64(i))
+	}
+	progFor := func(j VerifyJob) *isa.Program {
 		if j.Kind == "corpus" {
-			return &entries[j.Index]
+			return entries[j.Index].Prog
 		}
-		c := fuzz.Generate(opt.Seed + int64(j.Index))
-		return &fuzz.CorpusEntry{Name: c.Name, Prog: c.Prog}
+		return cases[j.Index].Prog
 	}
 
 	var jobs []VerifyJob
@@ -259,12 +268,12 @@ func RunVerify(opt VerifyOptions) (*VerifyReport, error) {
 	for i, e := range entries {
 		addGrid("corpus", e.Name, i)
 	}
-	for i := 0; i < opt.Count; i++ {
-		addGrid("gen", fuzz.Generate(opt.Seed+int64(i)).Name, i)
+	for i, c := range cases {
+		addGrid("gen", c.Name, i)
 	}
 
 	run := func(j VerifyJob) (fuzz.CrossCheck, error) {
-		return fuzz.CrossCheckProgram(progFor(j).Prog, string(j.Scheme), string(j.Model))
+		return fuzz.CrossCheckProgram(progFor(j), string(j.Scheme), string(j.Model))
 	}
 	results, err := runPool(jobs, poolConfig[VerifyJob]{
 		Workers:  opt.Jobs,
@@ -314,7 +323,7 @@ func RunVerify(opt VerifyOptions) (*VerifyReport, error) {
 			cell.AgreeSecure++
 		case fuzz.SymLeakConfirmed:
 			cell.SymConfirmed++
-			e := fuzz.WitnessEntry(progFor(j).Prog, string(j.Scheme), string(j.Model), cc.Sym.Witness)
+			e := fuzz.WitnessEntry(progFor(j), string(j.Scheme), string(j.Model), cc.Sym.Witness)
 			rep.Witnesses = append(rep.Witnesses, VerifyWitness{
 				Name: e.Name, Scheme: j.Scheme, Model: j.Model,
 				Corpus: fuzz.FormatCorpusEntry(e),
@@ -332,8 +341,7 @@ func RunVerify(opt VerifyOptions) (*VerifyReport, error) {
 		if j.Kind == "corpus" {
 			row.Expected = verifyExpectation(entries[j.Index], j.Scheme, j.Model)
 		} else {
-			c := fuzz.Generate(opt.Seed + int64(j.Index))
-			if fuzz.ExpectLeak(string(j.Scheme), string(j.Model), c) {
+			if fuzz.ExpectLeak(string(j.Scheme), string(j.Model), cases[j.Index]) {
 				row.Expected = "leak"
 			} else {
 				row.Expected = "clean"

@@ -96,6 +96,17 @@ func TestRunVerifyGenerated(t *testing.T) {
 	}
 }
 
+// TestRunVerifyNegativeCount pins that a negative gadget count is an
+// error, not a campaign over fewer programs than the corpus holds.
+func TestRunVerifyNegativeCount(t *testing.T) {
+	for _, dir := range []string{"", "testdata/fuzz"} {
+		rep, err := spt.RunVerify(spt.VerifyOptions{CorpusDir: dir, Count: -3})
+		if err == nil {
+			t.Fatalf("corpus %q, Count -3: got a report for %d programs, want an error", dir, rep.Programs)
+		}
+	}
+}
+
 // FuzzOracleAgreement is the native fuzz entry for the two-oracle
 // harness: any generated gadget, any grid cell, the differential fuzzer
 // and the symbolic executor must agree with each other and with the
