@@ -2,7 +2,9 @@ package symx
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"spt/internal/emu"
@@ -303,6 +305,35 @@ func TestArchLeakRejected(t *testing.T) {
 		if string(al.SecretA) == string(al.SecretB) {
 			t.Errorf("%s: degenerate arch-leak witness %#x", p.Name, al.SecretA)
 		}
+	}
+}
+
+// TestObservationEventsSecretLength: a concrete secret shorter or longer
+// than Config.Secret.Size is an error naming both lengths, not a panic or
+// a silently truncated secret.
+func TestObservationEventsSecretLength(t *testing.T) {
+	for _, c := range []struct {
+		size   int
+		secret []byte
+	}{
+		{1, []byte{}},
+		{2, []byte{0x5A}},
+		{1, []byte{0x5A, 0x01}},
+	} {
+		cfg := Config{Secret: SecretSpec{Addr: testSecretAddr, Size: c.size}}
+		_, err := ObservationEvents(spectreV1(), "unsafe", "futuristic", cfg, c.secret)
+		if err == nil {
+			t.Errorf("%d-byte secret for a %d-byte spec: no error", len(c.secret), c.size)
+			continue
+		}
+		for _, want := range []string{fmt.Sprintf("%d bytes", len(c.secret)), fmt.Sprintf("Size is %d", c.size)} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%d-byte secret for a %d-byte spec: error %q does not say %q", len(c.secret), c.size, err, want)
+			}
+		}
+	}
+	if _, err := ObservationEvents(spectreV1(), "unsafe", "futuristic", testCfg(), []byte{0x5A}); err != nil {
+		t.Errorf("secret of the spec's length: %v", err)
 	}
 }
 

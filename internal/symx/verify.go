@@ -113,9 +113,13 @@ func verify(prog *isa.Program, img image, pol policy, cfg Config) (Result, error
 // hook the property tests use to pin that substituting a concrete secret
 // into the symbolic trace reproduces the concrete run event for event,
 // and a debugging aid for the CLI. Symbolic runs return errNonUniform's
-// message as an error when a transient decision depends on the secret.
+// message as an error when a transient decision depends on the secret. A
+// concrete secret must hold exactly cfg.Secret.Size bytes.
 func ObservationEvents(prog *isa.Program, scheme, model string, cfg Config, secret []byte) ([]Event, error) {
 	cfg = cfg.withDefaults()
+	if secret != nil && len(secret) != cfg.Secret.Size {
+		return nil, fmt.Errorf("symx: concrete secret has %d bytes, Config.Secret.Size is %d", len(secret), cfg.Secret.Size)
+	}
 	pol, err := policyFor(scheme, model)
 	if err != nil {
 		return nil, err

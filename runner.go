@@ -66,8 +66,11 @@ func (j Job) options() Options {
 // next context check, as Options.Context describes), and opt.Progress;
 // opt.Budget, opt.Width, and opt.Workloads are ignored here — they only
 // matter when a figure harness enumerates its grid. Duplicate jobs are
-// simulated once. On error the first failure in grid order is returned and
-// the partial results are discarded.
+// simulated once. With more than one worker, the first cell of each shared
+// prefix goes out ahead of the cells that wait on it (walkAheadOrder), so
+// different workers walk different workloads' prefixes at once; results do
+// not depend on that order. On error the first failure in grid order is
+// returned and the partial results are discarded.
 func RunJobs(jobs []Job, opt EvalOptions) (map[Job]*Result, error) {
 	return runGrid(jobs, opt, newJobRunner(jobs, opt).run)
 }
@@ -79,11 +82,12 @@ func RunJobs(jobs []Job, opt EvalOptions) (map[Job]*Result, error) {
 // (workload, skip), a sampled walk once per workload. The runner's own
 // store forgets a workload once the last of its cells has returned,
 // failed or not, so a grid holds the checkpoints and kept walkers of only
-// the workloads still running; a store the caller supplies is never
-// pruned. The harness context and per-cell window concurrency
-// (opt.WindowJobs) flow into every cell's Options, so sampled cells can
-// overlap their measured windows and a cancelled harness also aborts the
-// simulation it is inside of.
+// the workloads still running, which runGrid's walk-ahead order
+// (walkAheadOrder) keeps to at most twice the worker count. A store the
+// caller supplies is never pruned. The harness context and per-cell window
+// concurrency (opt.WindowJobs) flow into every cell's Options, so sampled
+// cells can overlap their measured windows and a cancelled harness also
+// aborts the simulation it is inside of.
 type jobRunner struct {
 	opt   EvalOptions
 	store *CheckpointStore
@@ -133,17 +137,70 @@ func (r *jobRunner) done(workload string) {
 	}
 }
 
-// runGrid adapts the simulation grid to the generic worker pool.
+// runGrid adapts the simulation grid to the generic worker pool, fed in
+// walkAheadOrder.
 func runGrid(jobs []Job, opt EvalOptions, run func(Job) (*Result, error)) (map[Job]*Result, error) {
 	return runPool(jobs, poolConfig[Job]{
 		Workers:  opt.Jobs,
 		Context:  opt.Context,
 		Progress: opt.Progress,
+		Order:    walkAheadOrder,
 	}, run)
 }
 
+// walkAheadOrder returns the order, as positions in jobs, in which a pool
+// of workers takes a grid's deduplicated cells. The cells served by one
+// store entry form a group: Skip cells by (workload, skip), sampled cells
+// by workload, and any other cell is a group of its own. A group's first
+// cell walks the prefix while the store makes the group's other cells
+// wait, so the first cell goes out workers−1 groups ahead of the others:
+// the first cells of groups 0…W−1, then the rest of group 0, then the
+// first cell of group W, then the rest of group 1, and so on. Different
+// workers then walk different workloads at once, and a group's waiting
+// cells go out only after its walk has started. A store the runner makes
+// itself then holds at most 2W workloads: the W groups fed ahead, plus at
+// most W groups with cells still in flight. At one worker, and for a grid
+// with neither Skip nor Sample, the order is the grid order.
+func walkAheadOrder(jobs []Job, workers int) []int {
+	feed := make([]int, 0, len(jobs))
+	if workers <= 1 {
+		for k := range jobs {
+			feed = append(feed, k)
+		}
+		return feed
+	}
+	type prefix struct {
+		workload string
+		skip     uint64
+	}
+	var groups [][]int
+	index := make(map[prefix]int)
+	for k, j := range jobs {
+		if j.Skip == 0 && !j.Sample.enabled() {
+			groups = append(groups, []int{k})
+			continue
+		}
+		key := prefix{j.Workload, j.Skip}
+		g, ok := index[key]
+		if !ok {
+			g = len(groups)
+			index[key] = g
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], k)
+	}
+	led := 0 // groups whose first cell is in feed
+	for g, cells := range groups {
+		for ; led < len(groups) && led < g+workers; led++ {
+			feed = append(feed, groups[led][0])
+		}
+		feed = append(feed, cells[1:]...)
+	}
+	return feed
+}
+
 // poolConfig configures runPool. The zero value runs on one worker per
-// core with no cancellation or progress reporting.
+// core, in job order, with no cancellation or progress reporting.
 type poolConfig[J comparable] struct {
 	// Workers is the concurrency; <= 0 means runtime.GOMAXPROCS(0).
 	Workers int
@@ -152,6 +209,12 @@ type poolConfig[J comparable] struct {
 	Context context.Context
 	// Progress, if non-nil, is called (serialized) after each completion.
 	Progress func(done, total int, j J)
+	// Order, if non-nil, returns the order in which the workers take the
+	// deduplicated jobs, as a permutation of their positions, given the
+	// pool's worker count. At one worker it must be the job order: a
+	// sequential pool stops at the first failure it runs. Nil feeds the
+	// jobs in job order. Results and errors stay indexed by job position.
+	Order func(jobs []J, workers int) []int
 }
 
 // safeRun converts a panicking job into a structured error naming the
@@ -168,11 +231,11 @@ func safeRun[J comparable, R any](j J, run func(J) (R, error)) (res R, err error
 
 // runPool is the shared evaluation engine behind RunJobs and RunFuzz: it
 // executes the deduplicated job list on cfg.Workers workers (1 reproduces
-// a strictly sequential harness) and collects results into a map keyed by
-// job. Only scheduling is concurrent — callers aggregate from the map in
-// their own order, so rendered output is bit-identical for any worker
-// count. On error the first failure in job order is returned and partial
-// results are discarded.
+// a strictly sequential harness), fed in cfg.Order, and collects results
+// into a map keyed by job. Only scheduling is concurrent — callers
+// aggregate from the map in their own order, so rendered output is
+// bit-identical for any worker count. On error the first failure in job
+// order is returned and partial results are discarded.
 func runPool[J comparable, R any](jobs []J, cfg poolConfig[J], run func(J) (R, error)) (map[J]R, error) {
 	ctx := cfg.Context
 	if ctx == nil {
@@ -201,6 +264,13 @@ func runPool[J comparable, R any](jobs []J, cfg poolConfig[J], run func(J) (R, e
 	if workers > total {
 		workers = total
 	}
+	feed := make([]int, total)
+	for k := range feed {
+		feed[k] = k
+	}
+	if cfg.Order != nil {
+		feed = cfg.Order(order, workers)
+	}
 
 	results := make([]R, total)
 	errs := make([]error, total)
@@ -227,7 +297,7 @@ func runPool[J comparable, R any](jobs []J, cfg poolConfig[J], run func(J) (R, e
 	}
 
 	if workers == 1 {
-		for k := range order {
+		for _, k := range feed {
 			if ctx.Err() != nil {
 				return nil, context.Cause(ctx)
 			}
@@ -256,15 +326,15 @@ func runPool[J comparable, R any](jobs []J, cfg poolConfig[J], run func(J) (R, e
 				}
 			}()
 		}
-	feed:
-		for k := range order {
+	send:
+		for _, k := range feed {
 			if gctx.Err() != nil {
 				break
 			}
 			select {
 			case idx <- k:
 			case <-gctx.Done():
-				break feed
+				break send
 			}
 		}
 		close(idx)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -431,6 +432,55 @@ func TestJobRunnerReleasesOwnStore(t *testing.T) {
 		t.Fatal("grid with an unknown scheme succeeded")
 	}
 
+	// Fed walk-ahead, the runner's own store holds at most twice the
+	// worker count of workloads at once, and none once the grid returns.
+	var names []string
+	for _, w := range Workloads() {
+		names = append(names, w.Name)
+	}
+	for _, g := range []struct {
+		name  string
+		shape func(j *Job)
+	}{
+		{"sampled", func(j *Job) { j.Budget, j.Sample = 2_000, SampleSpec{Intervals: 2, Warmup: 50, Detail: 200} }},
+		{"skip", func(j *Job) { j.Budget, j.Skip = 300, 3_000 }},
+	} {
+		var grid []Job
+		for _, w := range names {
+			for _, s := range Schemes()[:3] {
+				j := Job{Workload: w, Scheme: s, Model: Futuristic, Width: 3}
+				g.shape(&j)
+				grid = append(grid, j)
+			}
+		}
+		for _, workers := range []int{2, 8} {
+			r := newJobRunner(grid, EvalOptions{})
+			held := func() (n int) {
+				for _, w := range names {
+					if r.store.inner.Holds(w) {
+						n++
+					}
+				}
+				return n
+			}
+			most := 0
+			progress := func(_, _ int, j Job) {
+				if n := held(); n > most {
+					most = n
+				}
+			}
+			if _, err := runGrid(grid, EvalOptions{Jobs: workers, Progress: progress}, r.run); err != nil {
+				t.Fatalf("%s grid at Jobs %d: %v", g.name, workers, err)
+			}
+			if most > 2*workers {
+				t.Errorf("%s grid at Jobs %d: store held %d workloads at once, want at most %d", g.name, workers, most, 2*workers)
+			}
+			if n := held(); n != 0 {
+				t.Errorf("%s grid at Jobs %d: store still holds %d workloads after the grid", g.name, workers, n)
+			}
+		}
+	}
+
 	supplied := NewCheckpointStore("")
 	r = newJobRunner(jobs[:3], EvalOptions{Checkpoints: supplied})
 	if r.store != supplied {
@@ -443,5 +493,162 @@ func TestJobRunnerReleasesOwnStore(t *testing.T) {
 		if !supplied.inner.Holds(w) {
 			t.Errorf("supplied store was pruned of %s", w)
 		}
+	}
+}
+
+// prefixGrid is a Figure 7-shaped grid of stub cells: n workloads × the
+// first schemes of Schemes(), each cell shaped by cell (Skip or Sample).
+func prefixGrid(n, schemes int, cell func(j *Job)) []Job {
+	var jobs []Job
+	for i := 0; i < n; i++ {
+		for _, s := range Schemes()[:schemes] {
+			j := testJob(i)
+			j.Scheme = s
+			cell(&j)
+			jobs = append(jobs, j)
+		}
+	}
+	return jobs
+}
+
+func skipCell(j *Job) { j.Skip = 1_000_000 }
+
+func sampledCell(j *Job) { j.Sample = SampleSpec{Intervals: 4, Warmup: 100, Detail: 400} }
+
+func TestWalkAheadOrder(t *testing.T) {
+	detail := func(*Job) {}
+	// Mixed: a full-detail cell, two skip distances of one workload, and
+	// a sampled workload, interleaved in grid order.
+	mixed := []Job{testJob(0), testJob(1), testJob(1), testJob(2), testJob(1), testJob(3), testJob(2)}
+	mixed[1].Skip, mixed[2].Skip, mixed[4].Skip = 500, 900, 500
+	mixed[2].Scheme, mixed[4].Scheme = STT, STT
+	mixed[3].Sample, mixed[6].Sample = SampleSpec{Intervals: 2}, SampleSpec{Intervals: 2}
+	mixed[6].Scheme = STT
+	cases := []struct {
+		name string
+		jobs []Job
+	}{
+		{"detail", prefixGrid(19, 8, detail)},
+		{"skip", prefixGrid(19, 8, skipCell)},
+		{"sampled", prefixGrid(19, 8, sampledCell)},
+		{"one workload", prefixGrid(1, 8, skipCell)},
+		{"one scheme", prefixGrid(5, 1, skipCell)},
+		{"mixed", mixed},
+	}
+	// group names the store entry a cell's prefix comes from.
+	group := func(j Job) string {
+		switch {
+		case j.Skip > 0:
+			return fmt.Sprintf("%s skip=%d", j.Workload, j.Skip)
+		case j.Sample.enabled():
+			return j.Workload + " sampled"
+		}
+		return j.String()
+	}
+	for _, c := range cases {
+		prefixed := slices.ContainsFunc(c.jobs, func(j Job) bool { return j.Skip > 0 || j.Sample.enabled() })
+		// A group's first cell in grid order is the one that walks.
+		first := map[string]int{}
+		for k, j := range c.jobs {
+			if _, ok := first[group(j)]; !ok {
+				first[group(j)] = k
+			}
+		}
+		for _, workers := range []int{1, 2, 3, 4, 8, 200} {
+			order := walkAheadOrder(c.jobs, workers)
+			if len(order) != len(c.jobs) {
+				t.Fatalf("%s, %d workers: %d positions for %d jobs", c.name, workers, len(order), len(c.jobs))
+			}
+			seen := make([]bool, len(c.jobs))
+			identity := true
+			for i, k := range order {
+				if k < 0 || k >= len(c.jobs) || seen[k] {
+					t.Fatalf("%s, %d workers: %v is not a permutation", c.name, workers, order)
+				}
+				seen[k] = true
+				identity = identity && k == i
+			}
+			if (workers == 1 || !prefixed) && !identity {
+				t.Errorf("%s, %d workers: order %v, want the grid order", c.name, workers, order)
+			}
+			out := map[string]bool{}
+			for _, k := range order {
+				g := group(c.jobs[k])
+				if !out[g] && k != first[g] {
+					t.Errorf("%s, %d workers: %s goes out before its group's first cell %s",
+						c.name, workers, c.jobs[k], c.jobs[first[g]])
+				}
+				out[g] = true
+			}
+		}
+	}
+
+	// Three workloads of two cells at two workers: the first cells of
+	// groups 0 and 1, the rest of group 0, the first cell of group 2, and
+	// so on.
+	if got, want := walkAheadOrder(prefixGrid(3, 2, skipCell), 2), []int{0, 2, 1, 4, 3, 5}; !reflect.DeepEqual(got, want) {
+		t.Errorf("3×2 skip grid at 2 workers: order %v, want %v", got, want)
+	}
+	if got, want := walkAheadOrder(prefixGrid(3, 2, sampledCell), 3), []int{0, 2, 4, 1, 3, 5}; !reflect.DeepEqual(got, want) {
+		t.Errorf("3×2 sampled grid at 3 workers: order %v, want %v", got, want)
+	}
+}
+
+// TestRunGridOverlapsPrefixWalks drives runGrid over a 19-workload ×
+// 8-scheme Skip grid with a run function that models the checkpoint
+// store's singleflight: the first cell of a workload to start walks its
+// prefix, and every later cell of the workload waits until that walk has
+// returned. A walk itself finishes only once some other workload's walk
+// has started, so the grid completes only if different workers walk
+// different workloads at once. Fed in grid order, the second worker
+// blocks behind the first walk and the first walk waits for a second one
+// that never starts; each wait gives up after 10 s and fails the grid.
+func TestRunGridOverlapsPrefixWalks(t *testing.T) {
+	const wait = 10 * time.Second
+	for _, workers := range []int{2, 4} {
+		t.Run(fmt.Sprintf("jobs=%d", workers), func(t *testing.T) {
+			checkNoGoroutineLeak(t)
+			var (
+				mu      sync.Mutex
+				walks   = map[string]chan struct{}{} // closed when the workload's walk returns
+				started int
+				overlap = make(chan struct{}) // closed when a second walk starts
+			)
+			run := func(j Job) (*Result, error) {
+				mu.Lock()
+				walked, waits := walks[j.Workload]
+				if !waits {
+					walked = make(chan struct{})
+					walks[j.Workload] = walked
+					if started++; started == 2 {
+						close(overlap)
+					}
+				}
+				mu.Unlock()
+				if waits {
+					select {
+					case <-walked:
+						return stubResult(j), nil
+					case <-time.After(wait):
+						return nil, fmt.Errorf("%s waited %v for its workload's walk", j, wait)
+					}
+				}
+				defer close(walked)
+				select {
+				case <-overlap:
+					return stubResult(j), nil
+				case <-time.After(wait):
+					return nil, fmt.Errorf("%s walked alone for %v", j, wait)
+				}
+			}
+			jobs := prefixGrid(19, 8, skipCell)
+			res, err := runGrid(jobs, EvalOptions{Jobs: workers}, run)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res) != len(jobs) || len(walks) != 19 {
+				t.Errorf("%d results and %d walks, want %d and 19", len(res), len(walks), len(jobs))
+			}
+		})
 	}
 }
